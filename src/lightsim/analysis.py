@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import correlate1d, map_coordinates
 
-from .beams import ScalarField, VectorField
+from .beams import VectorField
 from .constants import C_LIGHT, H_PLANCK
 from .errors import (LoopThroughUnpolarized, LoopThroughZero,
                      NonpositiveFrequency, RadiusOutOfGrid, ZeroAmplitudes,
@@ -69,29 +69,22 @@ def sam_per_photon(f):
     return float(np.sum(sf.s3)) / total
 
 
-def _centered_derivative(a, pitch, axis):
-    """Sixth-order centered first derivative; field assumed ~0 at edges."""
-    ap = np.pad(a, 3, mode="constant")
-    sl = [slice(3, -3)] * 2
-
-    def shift(k):
-        s = list(sl)
-        s[axis] = slice(3 + k, ap.shape[axis] - 3 + k)
-        return ap[tuple(s)]
-
-    return (shift(3) - 9 * shift(2) + 45 * shift(1)
-            - 45 * shift(-1) + 9 * shift(-2) - shift(-3)) / (60.0 * pitch)
+# Sixth-order centered first-derivative stencil, in units of 1/pitch.
+_D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
 
-def _oam_scalar_sums(s):
-    X, Y = s.grid.coords()
-    p = s.grid.pitch
-    dy = _centered_derivative(s.amp, p, axis=0)
-    dx = _centered_derivative(s.amp, p, axis=1)
-    dphi = X * dy - Y * dx
-    num = float(np.sum(np.imag(np.conj(s.amp) * dphi)))
-    den = float(np.sum(np.abs(s.amp) ** 2))
-    return num, den
+def _oam_scalar_sums(grid, amp):
+    """(sum Im(a* (x d_y - y d_x) a), sum |a|^2).  The zero-padded stencil
+    D is antisymmetric, so on each grid line sum Im(a* D a) = 2 Re(a).D Im(a).
+    """
+    x = grid.axis()
+    u, v = amp.real, amp.imag
+    dy = correlate1d(v, _D1, axis=0, mode="constant")
+    dx = correlate1d(v, _D1, axis=1, mode="constant")
+    num = 2.0 * (np.einsum("ij,ij->j", u, dy) @ x
+                 - np.einsum("ij,ij->i", u, dx) @ x) / grid.pitch
+    den = float(np.einsum("ij,ij->", u, u) + np.einsum("ij,ij->", v, v))
+    return float(num), den
 
 
 def oam_per_photon(field):
@@ -101,19 +94,20 @@ def oam_per_photon(field):
     azimuthal derivative from centered finite differences.  For a vector
     field the two components are combined with intensity weights.
     """
-    if isinstance(field, VectorField):
-        parts = [ScalarField(field.grid, field.ex),
-                 ScalarField(field.grid, field.ey)]
-    else:
-        parts = [field]
+    amps = ((field.ex, field.ey) if isinstance(field, VectorField)
+            else (field.amp,))
     num = den = 0.0
-    for s in parts:
-        n, d = _oam_scalar_sums(s)
+    for amp in amps:
+        n, d = _oam_scalar_sums(field.grid, amp)
         num += n
         den += d
     if den <= 0.0:
         raise ZeroField("OAM undefined for a zero-power field")
     return num / den
+
+
+# Margin [px] around the circle: the spline prefilter's edge effect is 0.268^d.
+CROP_MARGIN = 24
 
 
 def _sample_circle(grid, arr, radius, samples, order=3):
@@ -123,15 +117,11 @@ def _sample_circle(grid, arr, radius, samples, order=3):
     if not (0.0 < radius < half):
         raise RadiusOutOfGrid(f"radius {radius:g} outside (0, {half:g})")
     theta = 2.0 * math.pi * np.arange(samples) / samples
-    x = radius * np.cos(theta)
-    y = radius * np.sin(theta)
-    col = x / grid.pitch + grid.n / 2 - 0.5
-    row = y / grid.pitch + grid.n / 2 - 0.5
-    coords = np.vstack([row, col])
-    if np.iscomplexobj(arr):
-        return (map_coordinates(arr.real, coords, order=order)
-                + 1j * map_coordinates(arr.imag, coords, order=order))
-    return map_coordinates(arr, coords, order=order)
+    center = grid.n / 2 - 0.5
+    lo = max(0, math.floor(center - radius / grid.pitch) - CROP_MARGIN)
+    coords = radius / grid.pitch * np.vstack([np.sin(theta), np.cos(theta)])
+    crop = arr[lo:grid.n - lo, lo:grid.n - lo]
+    return map_coordinates(crop, coords + (center - lo), order=order)
 
 
 def azimuthal_spectrum(s, r, samples=512):

@@ -117,6 +117,20 @@ def elliptical_gaussian(grid, wx, wy, tilt=0.0):
     return ScalarField(grid, np.exp(-xr ** 2 / wx ** 2 - yr ** 2 / wy ** 2))
 
 
+def azimuthal_phase(grid, m, scale=None):
+    """exp(i m phi) as ((x + i sgn(m) y)/r)^|m|, with no arctan2; with a
+    `scale`, ((x + i sgn(m) y) scale)^|m| = (scale r)^|m| exp(i m phi)."""
+    if m == 0:
+        return np.ones((grid.n, grid.n), dtype=complex)
+    x = grid.axis()
+    z = x[None, :] + (1j if m > 0 else -1j) * x[:, None]
+    if scale is None:
+        z /= np.abs(z)
+    else:
+        z *= scale
+    return z ** abs(m)
+
+
 def laguerre_gaussian(grid, l, p, w0):
     """Unit-power Laguerre-Gaussian mode LG_{l,p} at the waist plane.
 
@@ -127,14 +141,13 @@ def laguerre_gaussian(grid, l, p, w0):
         raise IndexOutOfRange(f"require |l| <= {MAX_L} and 0 <= p <= {MAX_P}, "
                               f"got l={l}, p={p}")
     _check_waist(grid, w0)
-    R, PHI = grid.polar()
+    x2 = (grid.axis() / w0) ** 2
+    r2 = x2[None, :] + x2[:, None]
     al = abs(l)
     norm = math.sqrt(2.0 * factorial(p) / (math.pi * factorial(p + al))) / w0
-    rho = 2.0 * R ** 2 / w0 ** 2
-    amp = (norm * (math.sqrt(2.0) * R / w0) ** al
-           * eval_genlaguerre(p, al, rho)
-           * np.exp(-R ** 2 / w0 ** 2)
-           * np.exp(1j * l * PHI))
+    amp = (norm * azimuthal_phase(grid, l, math.sqrt(2.0) / w0)
+           * eval_genlaguerre(p, al, 2.0 * r2)
+           * np.exp(-r2))
     return ScalarField(grid, amp)
 
 

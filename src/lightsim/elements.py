@@ -7,12 +7,13 @@ imprinting an azimuthal phase exp(+-2i q phi).  The element is modeled as a
 zero-thickness phase mask and alpha has no radial dependence.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import VectorField
+from .beams import VectorField, azimuthal_phase
 from .errors import DimensionMismatch, UndersampledRotation
 from .polarization import JonesVector, apply, waveplate
 
@@ -48,24 +49,26 @@ def qplate_matrix(spec, phi):
     return waveplate(spec.delta, spec.q * phi + spec.alpha0)
 
 
-def _apply_retarder_map(alpha, delta, f):
-    """Vectorized per-pixel waveplate with axis-angle map `alpha`."""
+def _apply_retarder_map(e2, delta, f):
+    """Vectorized per-pixel waveplate whose axis angle alpha is given as the
+    map e2 = exp(2i alpha)."""
     ch = math.cos(delta / 2.0)
-    sh = math.sin(delta / 2.0)
-    c2 = np.cos(2.0 * alpha)
-    s2 = np.sin(2.0 * alpha)
-    m00 = ch - 1j * sh * c2
-    m01 = -1j * sh * s2
-    m11 = ch + 1j * sh * c2
-    ex = m00 * f.ex + m01 * f.ey
-    ey = m01 * f.ex + m11 * f.ey
+    jsh = 1j * math.sin(delta / 2.0)
+    c2, s2 = e2.real, e2.imag
+    ex = ch * f.ex - jsh * (c2 * f.ex + s2 * f.ey)
+    ey = ch * f.ey - jsh * (s2 * f.ex - c2 * f.ey)
     return VectorField(f.grid, ex, ey)
+
+
+def _qplate_e2(spec, grid):
+    """exp(2i alpha) = exp(2i alpha0) (exp(i phi))^(2q); 2q is an integer."""
+    return (cmath.exp(2j * spec.alpha0)
+            * azimuthal_phase(grid, round(2.0 * spec.q)))
 
 
 def apply_qplate(spec, f):
     """Apply the q-plate to every pixel of a vector field (unitary)."""
-    _, phi = f.grid.polar()
-    return _apply_retarder_map(spec.q * phi + spec.alpha0, spec.delta, f)
+    return _apply_retarder_map(_qplate_e2(spec, f.grid), spec.delta, f)
 
 
 def apply_patterned(p, f):
@@ -74,7 +77,7 @@ def apply_patterned(p, f):
         raise DimensionMismatch(
             f"alpha_map shape {p.alpha_map.shape} does not match field shape "
             f"{f.ex.shape}")
-    return _apply_retarder_map(p.alpha_map, p.delta, f)
+    return _apply_retarder_map(np.exp(2j * p.alpha_map), p.delta, f)
 
 
 def _check_sampling(omega, times):
@@ -121,13 +124,12 @@ def qplate_alpha0_decomposition(spec, f):
     with the three component fields computed here once.  Used to evaluate
     long rotating-q-plate time series without reapplying the element.
     """
-    _, phi = f.grid.polar()
     ch = math.cos(spec.delta / 2.0)
     sh = math.sin(spec.delta / 2.0)
     f_c = VectorField(f.grid, ch * f.ex, ch * f.ey)
     # [[cos2a, sin2a], [sin2a, -cos2a]] = e^{2ia}/2 [[1,-i],[-i,-1]]
     #                                   + e^{-2ia}/2 [[1,i],[i,-1]]
-    e2 = np.exp(2j * (spec.q * phi + spec.alpha0))
+    e2 = _qplate_e2(spec, f.grid)
     half = -1j * sh / 2.0
     f_plus = VectorField(f.grid,
                          half * e2 * (f.ex - 1j * f.ey),

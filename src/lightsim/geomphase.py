@@ -56,13 +56,6 @@ class SpherePath:
         return SpherePath(self.points[::-1].copy(), self.closed)
 
 
-def _triangle_excess(a, b, c):
-    """Signed spherical excess of the geodesic triangle (a, b, c)."""
-    num = float(a @ np.cross(b, c))
-    den = 1.0 + float(a @ b) + float(b @ c) + float(c @ a)
-    return 2.0 * math.atan2(num, den)
-
-
 def _fan_apex(pts):
     mean = pts[:-1].mean(axis=0)
     n = np.linalg.norm(mean)
@@ -83,16 +76,17 @@ def solid_angle(path):
     Computed as the sum of signed spherical excesses of geodesic triangles
     fanned from the path's mean direction (or its circulation normal when
     the mean degenerates, which disambiguates great circles).  Multi-turn
-    paths accumulate 4 pi per wrap.
+    paths accumulate 4 pi per wrap.  Excesses use the Van Oosterom &
+    Strackee (1983) form 2 atan2(a.(b x c), 1 + a.b + b.c + c.a).
     """
     if not path.closed:
         raise OpenPath("solid angle requires a closed path")
     pts = path.points
     apex = _fan_apex(pts)
-    total = 0.0
-    for k in range(len(pts) - 1):
-        total += _triangle_excess(apex, pts[k], pts[k + 1])
-    return total
+    b, c = pts[:-1], pts[1:]
+    num = np.cross(b, c) @ apex
+    den = 1.0 + b @ apex + np.sum(b * c, axis=1) + c @ apex
+    return float(np.sum(2.0 * np.arctan2(num, den)))
 
 
 def srp_phase(path, helicity):

@@ -74,8 +74,8 @@ def build_scalar_beam(grid, beam_cfg):
     if kind == "vortex":
         # Gaussian envelope with a pure azimuthal phase winding.
         base = beams.gaussian(grid, beam_cfg["w0"])
-        _, phi = grid.polar()
-        return beams.ScalarField(grid, base.amp * np.exp(1j * beam_cfg["l"] * phi))
+        return beams.ScalarField(
+            grid, base.amp * beams.azimuthal_phase(grid, beam_cfg["l"]))
     raise ConfigError(f"unknown beam kind {kind!r}")
 
 
@@ -553,14 +553,13 @@ def _selftest_configs(n, window, wavelength):
         configs.append(cfg("interference_fork", grid=grid,
                            beam={"kind": "vortex", "l": l, "w0": 0.75 * w0},
                            interference={"tilt": tilt}))
-    # propagation: wider window so the expanded beams stay clear of the edge
-    pgrid = {"n": n, "window": window, "wavelength": wavelength}
+    # propagation: half the waist, so the expanded beams stay off the edge
     pw0 = window / 16.0
     for l in (-2, -1, 1, 2):
-        configs.append(cfg("propagation_stability", grid=pgrid,
+        configs.append(cfg("propagation_stability", grid=grid,
                            beam={"kind": "lg", "l": l, "p": 0, "w0": pw0},
                            propagation={"z_list": [zr, 2.0 * zr]}))
-    configs.append(cfg("propagation_stability", grid=pgrid,
+    configs.append(cfg("propagation_stability", grid=grid,
                        beam={"kind": "gaussian", "w0": pw0},
                        propagation={"z_list": [zr]}))
     return configs
