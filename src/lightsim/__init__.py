@@ -16,8 +16,7 @@ from .beams import (Grid, ScalarField, VectorField, circular_components,
                     elliptical_gaussian, gaussian, laguerre_gaussian,
                     plane_wave_em, vector_field)
 from .elements import (PatternedRetarder, QPlateSpec, apply_patterned,
-                       apply_qplate, qplate_matrix, rotating_qplate_series,
-                       rotating_waveplate_series)
+                       apply_qplate, rotating_waveplate_series)
 from .geomphase import (SpherePath, circle_path, geodesic_path,
                         jones_from_poincare, pancharatnam_cycle_phase,
                         poincare_point, qplate_k_path, solid_angle, srp_phase)
@@ -25,8 +24,8 @@ from .interference import fringe_fork_count, interference_image
 from .polarization import (JonesMatrix, JonesVector, StokesVector, apply,
                            jones_state, pancharatnam_phase, stokes_of,
                            waveplate)
-from .propagation import (PropagationPlan, conjugate_round_trip, far_field,
-                          propagate, second_moment_widths, stability_metrics)
+from .propagation import (conjugate_round_trip, far_field, propagate,
+                          second_moment_widths, stability_metrics)
 from .scenarios import (frequency_shift_from_series, rotating_frequency_shift,
                         run_scenario, selftest)
 

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d, map_coordinates
 
-from .beams import VectorField
 from .constants import C_LIGHT, H_PLANCK
 from .errors import (LoopThroughUnpolarized, LoopThroughZero,
                      NonpositiveFrequency, RadiusOutOfGrid, ZeroAmplitudes,
                      ZeroEnergy, ZeroField)
+from .polarization import stokes_of, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -53,20 +53,20 @@ class StokesField:
 
 def stokes_field(f):
     """Pixelwise Stokes map of a vector field."""
-    ax2 = np.abs(f.ex) ** 2
-    ay2 = np.abs(f.ey) ** 2
-    cross = np.conj(f.ex) * f.ey
-    return StokesField(f.grid, ax2 + ay2, ax2 - ay2,
-                       2.0 * cross.real, 2.0 * cross.imag)
+    s = stokes_of(f)
+    return StokesField(f.grid, s.s0, s.s1, s.s2, s.s3)
 
 
 def sam_per_photon(f):
-    """Intensity-weighted spin helicity: sum(s3)/sum(s0), in [-1, 1]."""
-    sf = stokes_field(f)
-    total = float(np.sum(sf.s0))
+    """Intensity-weighted spin helicity: sum(s3)/sum(s0), in [-1, 1].
+
+    sum(s3) = 2 Im<ex|ey> and sum(s0) = <ex|ex> + <ey|ey>, so no Stokes
+    map is built.
+    """
+    total = float(np.vdot(f.ex, f.ex).real + np.vdot(f.ey, f.ey).real)
     if total <= 0.0:
         raise ZeroField("SAM undefined for a zero-power field")
-    return float(np.sum(sf.s3)) / total
+    return 2.0 * float(np.vdot(f.ex, f.ey).imag) / total
 
 
 # Sixth-order centered first-derivative stencil, in units of 1/pitch.
@@ -94,10 +94,8 @@ def oam_per_photon(field):
     azimuthal derivative from centered finite differences.  For a vector
     field the two components are combined with intensity weights.
     """
-    amps = ((field.ex, field.ey) if isinstance(field, VectorField)
-            else (field.amp,))
     num = den = 0.0
-    for amp in amps:
+    for amp in field.components:
         n, d = _oam_scalar_sums(field.grid, amp)
         num += n
         den += d
@@ -144,8 +142,7 @@ def azimuthal_spectrum(s, r, samples=512):
 
 def _winding(angles):
     """Integer winding number of a closed sequence of angles."""
-    d = np.diff(np.concatenate([angles, angles[:1]]))
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi
+    d = wrap_angle(np.diff(np.concatenate([angles, angles[:1]])))
     return int(round(float(np.sum(d)) / (2.0 * math.pi)))
 
 

@@ -66,30 +66,47 @@ class Grid:
         return np.hypot(X, Y), np.arctan2(Y, X)
 
 
+class _Field:
+    """What scalar and vector fields share: `components`, the tuple of
+    complex arrays on `grid`, and the total power over all of them."""
+
+    @property
+    def power(self):
+        total = sum(np.sum(np.abs(c) ** 2) for c in self.components)
+        return float(total) * self.grid.pitch ** 2
+
+
 @dataclass(frozen=True)
-class ScalarField:
-    """Complex scalar amplitude sampled on a grid."""
+class ScalarField(_Field):
+    """Complex scalar amplitude sampled on a grid.
+
+    `components` is (amp,); `power` is sum |amp|^2 pitch^2.
+    """
 
     grid: Grid
     amp: np.ndarray
 
     @property
-    def power(self):
-        return float(np.sum(np.abs(self.amp) ** 2)) * self.grid.pitch ** 2
+    def components(self):
+        return (self.amp,)
 
 
 @dataclass(frozen=True)
-class VectorField:
-    """Two-component (ex, ey) transverse field on one shared grid."""
+class VectorField(_Field):
+    """Two-component (ex, ey) transverse field on one shared grid.
+
+    `components` is (ex, ey), so kernels that act per component (power,
+    propagation, far field, OAM) treat it like a scalar field with two
+    amplitudes; `power` sums both.
+    """
 
     grid: Grid
     ex: np.ndarray
     ey: np.ndarray
 
     @property
-    def power(self):
-        s = np.sum(np.abs(self.ex) ** 2) + np.sum(np.abs(self.ey) ** 2)
-        return float(s) * self.grid.pitch ** 2
+    def components(self):
+        return (self.ex, self.ey)
 
 
 def _check_waist(grid, w):

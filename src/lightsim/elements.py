@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import VectorField, azimuthal_phase
+from .beams import (ScalarField, VectorField, azimuthal_phase,
+                    circular_components, vector_field)
 from .errors import DimensionMismatch, UndersampledRotation
-from .polarization import JonesVector, apply, waveplate
+from .polarization import apply, jones_state, retard, waveplate
 
 MIN_SAMPLES_PER_PERIOD = 64
 
@@ -44,20 +45,10 @@ class PatternedRetarder:
     delta: float
 
 
-def qplate_matrix(spec, phi):
-    """Jones matrix of the q-plate at azimuth phi."""
-    return waveplate(spec.delta, spec.q * phi + spec.alpha0)
-
-
 def _apply_retarder_map(e2, delta, f):
     """Vectorized per-pixel waveplate whose axis angle alpha is given as the
     map e2 = exp(2i alpha)."""
-    ch = math.cos(delta / 2.0)
-    jsh = 1j * math.sin(delta / 2.0)
-    c2, s2 = e2.real, e2.imag
-    ex = ch * f.ex - jsh * (c2 * f.ex + s2 * f.ey)
-    ey = ch * f.ey - jsh * (s2 * f.ex - c2 * f.ey)
-    return VectorField(f.grid, ex, ey)
+    return VectorField(f.grid, *retard(delta, e2, f.ex, f.ey))
 
 
 def _qplate_e2(spec, grid):
@@ -102,17 +93,6 @@ def rotating_waveplate_series(delta, omega, input_state, times):
     return [apply(waveplate(delta, omega * t), input_state) for t in times]
 
 
-def rotating_qplate_series(spec, omega, f, times):
-    """Vector-field outputs of a q-plate whose offset alpha0 advances as
-    alpha0 + omega * t."""
-    times = _check_sampling(omega, times)
-    out = []
-    for t in times:
-        spec_t = QPlateSpec(spec.q, spec.alpha0 + omega * t, spec.delta)
-        out.append(apply_qplate(spec_t, f))
-    return out
-
-
 def qplate_alpha0_decomposition(spec, f):
     """Decompose the q-plate output by its alpha0 dependence.
 
@@ -123,19 +103,16 @@ def qplate_alpha0_decomposition(spec, f):
 
     with the three component fields computed here once.  Used to evaluate
     long rotating-q-plate time series without reapplying the element.
+    The plate flips handedness: f_plus = -i sin(d/2) e^{2i alpha} psi_L |R>
+    and f_minus = -i sin(d/2) e^{-2i alpha} psi_R |L>.
     """
     ch = math.cos(spec.delta / 2.0)
-    sh = math.sin(spec.delta / 2.0)
-    f_c = VectorField(f.grid, ch * f.ex, ch * f.ey)
-    # [[cos2a, sin2a], [sin2a, -cos2a]] = e^{2ia}/2 [[1,-i],[-i,-1]]
-    #                                   + e^{-2ia}/2 [[1,i],[i,-1]]
+    jsh = 1j * math.sin(spec.delta / 2.0)
     e2 = _qplate_e2(spec, f.grid)
-    half = -1j * sh / 2.0
-    f_plus = VectorField(f.grid,
-                         half * e2 * (f.ex - 1j * f.ey),
-                         half * e2 * (-1j * f.ex - f.ey))
-    e2c = np.conj(e2)
-    f_minus = VectorField(f.grid,
-                          half * e2c * (f.ex + 1j * f.ey),
-                          half * e2c * (1j * f.ex - f.ey))
+    psi_l, psi_r = circular_components(f)
+    f_c = VectorField(f.grid, ch * f.ex, ch * f.ey)
+    f_plus = vector_field(ScalarField(f.grid, -jsh * e2 * psi_l.amp),
+                          jones_state("R"))
+    f_minus = vector_field(ScalarField(f.grid, -jsh * np.conj(e2) * psi_r.amp),
+                           jones_state("L"))
     return f_c, f_plus, f_minus

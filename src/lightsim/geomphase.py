@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DegenerateSegment, OpenPath,
                      OrthogonalConsecutiveStates, ZeroState)
-from .polarization import JonesVector, stokes_of
+from .polarization import JonesVector, stokes_of, wrap_angle
 
 POINT_NORM_TOL = 1e-12
 CLOSURE_TOL = 1e-9
@@ -143,7 +143,7 @@ def jones_from_poincare(point):
 def pancharatnam_cycle_phase(states):
     """Total Pancharatnam phase around a closed cycle of states.
 
-    Sum of arg<s_k|s_{k+1}> over the cycle, wrapped to (-pi, pi].  The
+    Sum of arg<s_k|s_{k+1}> over the cycle, wrapped to [-pi, pi).  The
     first and last states must coincide and consecutive states must be
     nonorthogonal.  For geodesic polygons the result equals half the
     oriented Poincare-sphere solid angle of the cycle (mod 2 pi).
@@ -161,7 +161,7 @@ def pancharatnam_cycle_phase(states):
             raise OrthogonalConsecutiveStates(
                 "consecutive states in the cycle are orthogonal")
         total += cmath.phase(ip)
-    return (total + math.pi) % (2.0 * math.pi) - math.pi
+    return wrap_angle(total)
 
 
 def _slerp(a, b, t):

@@ -6,7 +6,8 @@ Conventions (used consistently throughout the package):
 * left circular |L> = (1, i)/sqrt(2), which has Stokes s3 = +1
 * retarders use the symmetric form R(a) diag(e^{-i d/2}, e^{+i d/2}) R(-a),
   so Pancharatnam phases between input and output are meaningful
-* angles in radians, principal values in (-pi, pi]
+* angles in radians; a phase arg(z) lies in (-pi, pi], an angle wrapped
+  by `wrap_angle` in [-pi, pi)
 """
 
 import cmath
@@ -106,7 +107,11 @@ def jones_state(kind):
 
 
 def stokes_of(v):
-    """Stokes parameters of a (pure) Jones state."""
+    """Stokes parameters of a (pure) Jones state.
+
+    Reads only `v.ex` and `v.ey`, so a vector field gives its pixelwise
+    Stokes maps.
+    """
     ax2 = abs(v.ex) ** 2
     ay2 = abs(v.ey) ** 2
     cross = v.ex.conjugate() * v.ey
@@ -119,17 +124,31 @@ def rotation(angle):
     return JonesMatrix(c, -s, s, c)
 
 
+def retard(delta, e2, ex, ey):
+    """Apply a linear retarder of retardance `delta` to (ex, ey).
+
+    The fast-axis angle a enters as e2 = exp(2i a), a scalar or a map
+    matching the components; returns the new (ex, ey).  This is the closed
+    form of R(a) diag(e^{-i d/2}, e^{+i d/2}) R(-a).
+    """
+    ch = math.cos(delta / 2.0)
+    jsh = 1j * math.sin(delta / 2.0)
+    c2, s2 = e2.real, e2.imag
+    return (ch * ex - jsh * (c2 * ex + s2 * ey),
+            ch * ey - jsh * (s2 * ex - c2 * ey))
+
+
 def waveplate(retardance, axis_angle):
     """Linear retarder: fast axis at `axis_angle`, retardance in radians.
 
-    M = R(a) diag(e^{-i d/2}, e^{+i d/2}) R(-a), written in closed form.
-    Unitary for all arguments; delta = pi gives a half-wave plate.
+    M = R(a) diag(e^{-i d/2}, e^{+i d/2}) R(-a), the columns of which are
+    `retard` applied to the basis vectors.  Unitary for all arguments;
+    delta = pi gives a half-wave plate.
     """
-    ch = math.cos(retardance / 2.0)
-    sh = math.sin(retardance / 2.0)
-    c2, s2 = math.cos(2.0 * axis_angle), math.sin(2.0 * axis_angle)
-    return JonesMatrix(ch - 1j * sh * c2, -1j * sh * s2,
-                       -1j * sh * s2, ch + 1j * sh * c2)
+    e2 = cmath.exp(2j * axis_angle)
+    m00, m10 = retard(retardance, e2, 1.0, 0.0)
+    m01, m11 = retard(retardance, e2, 0.0, 1.0)
+    return JonesMatrix(m00, m01, m10, m11)
 
 
 def apply(m, v):
@@ -150,3 +169,8 @@ def pancharatnam_phase(a, b):
             f"|<a|b>| = {abs(ip):.3e} is below {ORTHOGONALITY_TOL}; "
             "phase is indeterminate")
     return cmath.phase(ip)
+
+
+def wrap_angle(x):
+    """Principal value of an angle (scalar or array), in [-pi, pi)."""
+    return (x + math.pi) % (2.0 * math.pi) - math.pi

@@ -1,42 +1,24 @@
 """Free-space propagation by the angular-spectrum method.
 
-Scalar fields are decomposed into plane waves with the FFT, advanced with
+Each component of a field (the amplitude of a scalar field, ex and ey of a
+vector field) is decomposed into plane waves with the FFT, advanced with
 the exact transfer phase exp(i z sqrt(k^2 - kx^2 - ky^2)) and transformed
 back; evanescent components (kx^2 + ky^2 > k^2) are zeroed, which is the
-physical choice for forward propagation.  Vector fields propagate
-componentwise (paraxial).  The far-field transform is a single Fraunhofer
-step whose output grid carries angular coordinates with pitch
-lambda / (n * pitch).
+physical choice for forward propagation.  Treating ex and ey alike
+neglects the longitudinal field, a paraxial approximation.  The far-field
+transform is a single Fraunhofer step whose output grid carries angular
+coordinates with pitch lambda / (n * pitch).
 """
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .analysis import oam_per_photon, topological_charge
-from .beams import Grid, ScalarField, VectorField
+from .beams import Grid, ScalarField
 from .errors import WindowTooSmall
 
 EDGE_INTENSITY_LIMIT = 1e-6
-
-
-class Method(Enum):
-    ANGULAR_SPECTRUM = "angular_spectrum"
-    FRAUNHOFER = "fraunhofer"
-
-
-@dataclass(frozen=True)
-class PropagationPlan:
-    grid: Grid
-    z: float
-    method: Method = Method.ANGULAR_SPECTRUM
-
-    def __post_init__(self):
-        if self.z < 0.0:
-            raise ValueError("propagation distance must be nonnegative; "
-                             "use the conjugation sandwich for back-propagation")
 
 
 def _check_edges(amp, where):
@@ -69,15 +51,14 @@ def propagate(field, z):
     """Propagate a scalar or vector field by distance z >= 0."""
     if z < 0.0:
         raise ValueError("propagation distance must be nonnegative")
-    if isinstance(field, VectorField):
-        ex = propagate(ScalarField(field.grid, field.ex), z).amp
-        ey = propagate(ScalarField(field.grid, field.ey), z).amp
-        return VectorField(field.grid, ex, ey)
-    _check_edges(field.amp, "input")
     h = _transfer(field.grid, z)
-    out = np.fft.ifft2(np.fft.fft2(field.amp) * h)
-    _check_edges(out, "output")
-    return ScalarField(field.grid, out)
+    out = []
+    for amp in field.components:
+        _check_edges(amp, "input")
+        amp = np.fft.ifft2(np.fft.fft2(amp) * h)
+        _check_edges(amp, "output")
+        out.append(amp)
+    return type(field)(field.grid, *out)
 
 
 def _centered_fft2(amp, n):
@@ -97,20 +78,22 @@ def _centered_fft2(amp, n):
     return f * post[None, :] * post[:, None]
 
 
-def far_field(s):
-    """Fraunhofer transform; output grid is in angle coordinates [rad].
+def far_field(field):
+    """Fraunhofer transform of each component; the output grid is in angle
+    coordinates [rad].
 
     Power is preserved (Parseval with the angular pitch lambda/(n*pitch)).
     """
-    _check_edges(s.amp, "input")
-    grid = s.grid
+    grid = field.grid
     n = grid.n
-    f = _centered_fft2(s.amp, n) * grid.pitch ** 2
     theta_pitch = grid.wavelength / (n * grid.pitch)
-    out_grid = Grid(n, theta_pitch, grid.wavelength)
-    # scale so that sum |amp|^2 * theta_pitch^2 equals the input power
-    amp = f / (n * grid.pitch * theta_pitch)
-    return ScalarField(out_grid, amp)
+    out = []
+    for amp in field.components:
+        _check_edges(amp, "input")
+        f = _centered_fft2(amp, n) * grid.pitch ** 2
+        # scale so that sum |amp|^2 * theta_pitch^2 equals the input power
+        out.append(f / (n * grid.pitch * theta_pitch))
+    return type(field)(Grid(n, theta_pitch, grid.wavelength), *out)
 
 
 def second_moment_widths(s):

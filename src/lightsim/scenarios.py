@@ -21,7 +21,8 @@ from .constants import C_LIGHT, H_PLANCK, HBAR
 from .errors import ConfigError
 from .imageio import (write_csv, write_intensity_pgm, write_phase_pgm,
                       write_stokes_ppm)
-from .polarization import apply, jones_state, stokes_of, waveplate
+from .polarization import (apply, jones_state, stokes_of, waveplate,
+                           wrap_angle)
 
 PHOTON_SECTION = SectionSchema("photon", [Key("nu", "float", default=5e14)])
 
@@ -45,10 +46,6 @@ class SummaryRow:
     @property
     def status(self):
         return "pass" if self.ok else "fail"
-
-
-def wrap_angle(x):
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +144,8 @@ def rotating_qplate_overlap_series(spec, f, omega, periods, samples):
     scale = f.grid.pitch ** 2
 
     def overlap(g):
-        return scale * complex(np.sum(np.conj(ref.ex) * g.ex)
-                               + np.sum(np.conj(ref.ey) * g.ey))
+        return scale * sum(np.vdot(a, b)
+                           for a, b in zip(ref.components, g.components))
 
     c0, cp, cm = (overlap(g) for g in parts)
     vals = (c0 + cp * np.exp(2j * omega * times)

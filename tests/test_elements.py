@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lightsim import (QPlateSpec, apply_patterned, apply_qplate, gaussian,
-                      jones_state, qplate_matrix, rotating_waveplate_series,
+from lightsim import (JonesVector, QPlateSpec, apply_patterned, apply_qplate,
+                      gaussian, jones_state, rotating_waveplate_series,
                       vector_field)
 from lightsim.analysis import sam_per_photon, topological_charge
 from lightsim.beams import Grid, circular_components
-from lightsim.elements import (PatternedRetarder, qplate_alpha0_decomposition,
-                               rotating_qplate_series)
+from lightsim.elements import PatternedRetarder, qplate_alpha0_decomposition
 from lightsim.errors import DimensionMismatch, UndersampledRotation
-from lightsim.polarization import apply, stokes_of
+from lightsim.polarization import apply, stokes_of, waveplate
 
 WAVELENGTH = 632.8e-7
 
@@ -28,13 +27,19 @@ def test_qplate_spec_requires_half_integer_q():
         QPlateSpec(0.3)
 
 
-def test_qplate_matrix_is_axis_pattern_waveplate():
-    spec = QPlateSpec(1.0, alpha0=0.2)
-    from lightsim.polarization import waveplate
-    phi = 0.7
-    np.testing.assert_allclose(qplate_matrix(spec, phi).as_array(),
-                               waveplate(math.pi, phi + 0.2).as_array(),
-                               atol=1e-15)
+def test_qplate_pixels_are_axis_pattern_waveplates():
+    # each output pixel is waveplate(delta, q phi + alpha0) applied to the
+    # input pixel, with phi the pixel's azimuth
+    f = vector_field(gaussian(Grid(64, 8.0 / 64, WAVELENGTH), 1.0),
+                     JonesVector(0.6, 0.3 + 0.5j))
+    spec = QPlateSpec(1.5, alpha0=0.2, delta=0.9)
+    out = apply_qplate(spec, f)
+    _, phi = f.grid.polar()
+    for i, j in ((0, 0), (5, 40), (31, 32), (32, 31), (63, 17)):
+        m = waveplate(spec.delta, spec.q * phi[i, j] + spec.alpha0)
+        v = apply(m, JonesVector(f.ex[i, j], f.ey[i, j]))
+        assert abs(out.ex[i, j] - v.ex) < 1e-15
+        assert abs(out.ey[i, j] - v.ey) < 1e-15
 
 
 def test_zero_retardance_is_identity():
@@ -134,17 +139,6 @@ def test_rotating_waveplate_static_limit():
         assert abs(v.ey - first.ey) < 1e-15
 
 
-def test_rotating_qplate_series_matches_direct():
-    f = make_field(n=64, w0=0.75)
-    spec = QPlateSpec(1.0)
-    omega = 1.0
-    times = np.arange(64) * (2 * math.pi / omega) / 64
-    series = rotating_qplate_series(spec, omega, f, times)
-    direct = apply_qplate(QPlateSpec(1.0, omega * times[5]), f)
-    np.testing.assert_allclose(series[5].ex, direct.ex, atol=1e-14)
-    np.testing.assert_allclose(series[5].ey, direct.ey, atol=1e-14)
-
-
 def test_alpha0_decomposition_reconstructs_output():
     f = make_field(n=64, w0=0.75)
     spec = QPlateSpec(1.0, 0.2, 0.9)
@@ -162,7 +156,6 @@ def test_hwp_pair_restores_input_polarization():
     # fixed HWP after a spinning HWP returns the input state at every time
     omega = 1.0
     times = np.arange(256) * (2 * 2 * math.pi / omega) / 256
-    from lightsim.polarization import waveplate
     fixed = waveplate(math.pi, 0.0)
     for v in rotating_waveplate_series(math.pi, omega, jones_state("L"), times):
         assert stokes_of(apply(fixed, v)).s3 == pytest.approx(1.0, abs=1e-12)

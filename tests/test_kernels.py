@@ -2,8 +2,8 @@
 
 Each reference below is the straightforward full-grid or per-element form
 (full-grid spline sampling, complex centered derivatives, arctan2 phases,
-a per-triangle loop); the library's kernels must agree with it to
-roundoff.
+a per-triangle loop, the Stokes map, the waveplate closed form, per-pixel
+Jones calculus); the library's kernels must agree with it to roundoff.
 """
 
 import math
@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import map_coordinates
 
-from lightsim import (Grid, QPlateSpec, ScalarField, SpherePath, circle_path,
-                      gaussian, geodesic_path, jones_state, laguerre_gaussian,
-                      solid_angle, vector_field)
+from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
+                      VectorField, circle_path, gaussian, geodesic_path,
+                      jones_state, laguerre_gaussian, oam_per_photon,
+                      sam_per_photon, solid_angle, stokes_field, stokes_of,
+                      vector_field, waveplate)
 from lightsim.analysis import _oam_scalar_sums, _sample_circle
 from lightsim.elements import apply_qplate, qplate_alpha0_decomposition
 from lightsim.geomphase import _fan_apex
@@ -85,6 +87,19 @@ def qplate_arctan2(spec, f):
     c2, s2 = np.cos(2.0 * alpha), np.sin(2.0 * alpha)
     m00, m01, m11 = ch - 1j * sh * c2, -1j * sh * s2, ch + 1j * sh * c2
     return m00 * f.ex + m01 * f.ey, m01 * f.ex + m11 * f.ey
+
+
+def stokes_map(ex, ey):
+    ax2, ay2 = np.abs(ex) ** 2, np.abs(ey) ** 2
+    cross = np.conj(ex) * ey
+    return ax2 + ay2, ax2 - ay2, 2.0 * cross.real, 2.0 * cross.imag
+
+
+def waveplate_closed_form(delta, alpha):
+    ch, sh = math.cos(delta / 2.0), math.sin(delta / 2.0)
+    c2, s2 = math.cos(2.0 * alpha), math.sin(2.0 * alpha)
+    return np.array([[ch - 1j * sh * c2, -1j * sh * s2],
+                     [-1j * sh * s2, ch + 1j * sh * c2]])
 
 
 def solid_angle_loop(path):
@@ -212,3 +227,57 @@ def test_solid_angle_matches_loop_on_special_paths():
     for path in paths:
         assert solid_angle(path) == pytest.approx(solid_angle_loop(path),
                                                   abs=1e-12)
+
+
+# --- one copy of each polarization formula, one field path ---
+
+def random_vector_field(n, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    ex, ey = scale * (rng.standard_normal((2, n, n))
+                      + 1j * rng.standard_normal((2, n, n)))
+    return VectorField(make_grid(n), ex, ey)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(16, 32).map(lambda k: 2 * k),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_sam_matches_stokes_map_sums(n, seed, scale):
+    f = random_vector_field(n, seed, scale)
+    s0, _, _, s3 = stokes_map(f.ex, f.ey)
+    assert sam_per_photon(f) == pytest.approx(
+        float(np.sum(s3)) / float(np.sum(s0)), abs=1e-12)
+
+
+def test_stokes_field_matches_stokes_of_per_pixel():
+    f = random_vector_field(64, 5)
+    sf = stokes_field(f)
+    rng = np.random.default_rng(6)
+    for i, j in rng.integers(0, 64, size=(20, 2)):
+        ref = stokes_of(JonesVector(f.ex[i, j], f.ey[i, j]))
+        got = (sf.s0[i, j], sf.s1[i, j], sf.s2[i, j], sf.s3[i, j])
+        # np.abs on an array and abs() on a scalar may differ by an ulp
+        np.testing.assert_allclose(got, ref.as_array(), rtol=0,
+                                   atol=2e-15 * ref.s0)
+    for got, ref in zip((sf.s0, sf.s1, sf.s2, sf.s3), stokes_map(f.ex, f.ey)):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_waveplate_matches_closed_form():
+    rng = np.random.default_rng(7)
+    for delta, alpha in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (200, 2)):
+        got = waveplate(delta, alpha).as_array()
+        ref = waveplate_closed_form(delta, alpha)
+        assert float(np.max(np.abs(got - ref))) <= 1e-15
+
+
+def test_vector_oam_is_intensity_weighted_component_oam():
+    g = make_grid(128)
+    ex = laguerre_gaussian(g, 2, 0, 1.0).amp
+    ey = 0.5j * laguerre_gaussian(g, -1, 1, 1.0).amp
+    wx, wy = float(np.sum(np.abs(ex) ** 2)), float(np.sum(np.abs(ey) ** 2))
+    ref = (oam_per_photon(ScalarField(g, ex)) * wx
+           + oam_per_photon(ScalarField(g, ey)) * wy) / (wx + wy)
+    assert oam_per_photon(VectorField(g, ex, ey)) == pytest.approx(ref,
+                                                                   rel=1e-12)
+    assert -1.0 < ref < 2.0
