@@ -26,7 +26,6 @@ from .polarization import (JonesMatrix, JonesVector, StokesVector, apply,
                            waveplate)
 from .propagation import (conjugate_round_trip, far_field, propagate,
                           second_moment_widths, stability_metrics)
-from .scenarios import (frequency_shift_from_series, rotating_frequency_shift,
-                        run_scenario, selftest)
+from .scenarios import frequency_shift_from_series, run_scenario, selftest
 
 __version__ = "0.1.0"

@@ -24,24 +24,18 @@ class Grid:
 
     Coordinates are cell-centered: x_i = (i - n/2 + 1/2) * pitch, so the
     grid is symmetric about the beam axis and excludes r = 0 exactly.
-    A declared `max_waist` (optional) is validated against the window:
-    the window must span at least 8 waists.
+    Each beam generator checks its waist against the pitch and window.
     """
 
     n: int
     pitch: float
     wavelength: float
-    max_waist: float = 0.0
 
     def __post_init__(self):
         if self.n < 32 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 32, got {self.n}")
         if self.pitch <= 0.0 or self.wavelength <= 0.0:
             raise ValueError("pitch and wavelength must be positive")
-        if self.max_waist > 0.0 and self.window < 8.0 * self.max_waist:
-            raise WaistOutOfRange(
-                f"window {self.window:g} smaller than 8 x max waist "
-                f"{self.max_waist:g}")
 
     @property
     def window(self):
@@ -72,7 +66,7 @@ class _Field:
 
     @property
     def power(self):
-        total = sum(np.sum(np.abs(c) ** 2) for c in self.components)
+        total = sum(np.vdot(c, c).real for c in self.components)
         return float(total) * self.grid.pitch ** 2
 
 

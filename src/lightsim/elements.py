@@ -16,7 +16,7 @@ import numpy as np
 from .beams import (ScalarField, VectorField, azimuthal_phase,
                     circular_components, vector_field)
 from .errors import DimensionMismatch, UndersampledRotation
-from .polarization import apply, jones_state, retard, waveplate
+from .polarization import JonesVector, jones_state, retard
 
 MIN_SAMPLES_PER_PERIOD = 64
 
@@ -88,9 +88,11 @@ def _check_sampling(omega, times):
 
 
 def rotating_waveplate_series(delta, omega, input_state, times):
-    """Output states of a waveplate spinning at omega, sampled at `times`."""
+    """Output of a waveplate spinning at omega, sampled at `times`: one
+    JonesVector whose ex and ey are arrays over the times."""
     times = _check_sampling(omega, times)
-    return [apply(waveplate(delta, omega * t), input_state) for t in times]
+    v = input_state
+    return JonesVector(*retard(delta, np.exp(2j * (omega * times)), v.ex, v.ey))
 
 
 def qplate_alpha0_decomposition(spec, f):

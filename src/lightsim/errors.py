@@ -6,15 +6,12 @@ can catch one type at the CLI boundary.
 
 
 class LightsimError(Exception):
-    """Base class for all lightsim errors."""
+    """Base class for all lightsim errors; the CLI exits with code 3 on
+    any that is not a ConfigError."""
 
 
 class ConfigError(LightsimError):
     """Invalid or inconsistent scenario configuration (CLI exit code 2)."""
-
-
-class NumericalError(LightsimError):
-    """An internal numerical check exceeded its tolerance (CLI exit code 3)."""
 
 
 # -- polarization ------------------------------------------------------------

@@ -37,8 +37,7 @@ def interference_image(out, tilt):
     peak = float(np.max(np.abs(out.amp)))
     if peak == 0.0:
         raise ValueError("cannot interfere a zero field")
-    X, _ = grid.coords()
-    img = np.abs(out.amp / peak + np.exp(1j * kx * X)) ** 2
+    img = np.abs(out.amp / peak + np.exp(1j * kx * grid.axis())) ** 2
     return img / img.max()
 
 

@@ -23,7 +23,11 @@ ORTHOGONALITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class JonesVector:
-    """Transverse polarization state (complex amplitudes ex, ey)."""
+    """Transverse polarization state (complex amplitudes ex, ey).
+
+    ex and ey may also be equal-shaped arrays (pixel maps, time samples):
+    `apply`, `inner`, `stokes_of` and `retard` then act element by element.
+    """
 
     ex: complex
     ey: complex

@@ -97,8 +97,9 @@ def far_field(field):
 
 
 def second_moment_widths(s):
-    """Principal 1/e beam widths (2 x rms) from intensity second moments."""
-    inten = np.abs(s.amp) ** 2
+    """Principal 1/e beam widths (2 x rms) from the second moments of the
+    total intensity over all components."""
+    inten = sum(np.abs(c) ** 2 for c in s.components)
     total = float(inten.sum())
     X, Y = s.grid.coords()
     xm = float((inten * X).sum()) / total
@@ -119,7 +120,8 @@ def stability_metrics(s, zs, charge_radius_factor=1.0):
     """Propagation metrics for the LG vs elliptical-Gaussian comparison.
 
     Returns one record per z with second-moment widths, the topological
-    charge on a circle at the rms radius, and the OAM per photon.
+    charge on a circle at the rms radius, and the OAM per photon.  `s` must
+    be a scalar field, since the charge is read from its `amp`.
     """
     records = []
     for z in zs:

@@ -51,11 +51,9 @@ class SummaryRow:
 # ---------------------------------------------------------------------------
 # config -> objects
 
-def build_grid(cfg, max_waist=0.0):
+def build_grid(cfg):
     g = cfg["grid"]
-    n = g["n"]
-    window = g["window"]
-    return beams.Grid(n, window / n, g["wavelength"], max_waist)
+    return beams.Grid(g["n"], g["window"] / g["n"], g["wavelength"])
 
 
 def build_scalar_beam(grid, beam_cfg):
@@ -82,12 +80,19 @@ def beam_waist(beam_cfg):
     return beam_cfg["w0"]
 
 
-def build_polarization(cfg):
-    kind = cfg["polarization"]["kind"]
+def build_beam(cfg):
+    """The configured scalar beam on the configured grid."""
+    return build_scalar_beam(build_grid(cfg), cfg["beam"])
+
+
+def build_vector_beam(cfg):
+    """The configured beam, uniformly polarized; the polarization kind is
+    checked first."""
     try:
-        return jones_state(kind)
+        pol = jones_state(cfg["polarization"]["kind"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return beams.vector_field(build_beam(cfg), pol)
 
 
 def oam_tolerance(grid):
@@ -117,28 +122,42 @@ def _rotation_times(omega, periods, samples):
         duration = 1.0
     else:
         duration = periods * 2.0 * math.pi / abs(omega)
-    return np.arange(samples) * duration / samples, duration
+    return np.arange(samples) * duration / samples
 
 
-def hwp_pair_series(omega, periods, samples, input_state=None):
-    """Amplitude <in|out>(t) for a fixed HWP after a spinning HWP."""
-    if input_state is None:
-        input_state = jones_state("L")
-    times, _ = _rotation_times(omega, periods, samples)
-    fixed = waveplate(math.pi, 0.0)
-    out = elements.rotating_waveplate_series(math.pi, omega, input_state, times)
-    vals = [input_state.inner(apply(fixed, v)) for v in out]
-    return np.array(vals), times
+def _configured_rotation(cfg):
+    """(omega, times) of the [rotation] section; its sampling is checked
+    before the scenario builds anything."""
+    rot = cfg["rotation"]
+    omega, periods, samples = rot["omega"], rot["periods"], rot["samples"]
+    if samples < 64 * max(periods, 1):
+        raise ConfigError("need >= 64 samples per rotation period")
+    return omega, _rotation_times(omega, periods, samples)
 
 
-def rotating_qplate_overlap_series(spec, f, omega, periods, samples):
+def _frequency_shift_row(cfg, vals, times):
+    """Peak frequency of the series against 2 omega, to within one bin."""
+    omega, periods = cfg["rotation"]["omega"], cfg["rotation"]["periods"]
+    bin_width = 0.0 if omega == 0.0 else abs(omega) / periods
+    return SummaryRow(cfg.name, "frequency_shift",
+                      frequency_shift_from_series(vals, times), 2.0 * omega,
+                      bin_width)
+
+
+def _hwp_pair_output(omega, times):
+    """|L> through a half-wave plate spinning at omega, then a fixed one."""
+    spun = elements.rotating_waveplate_series(math.pi, omega, jones_state("L"),
+                                              times)
+    return apply(waveplate(math.pi, 0.0), spun)
+
+
+def rotating_qplate_overlap_series(spec, f, omega, times):
     """Amplitude <out(0)|out(t)> for a q-plate spinning at omega.
 
     Uses the exact three-term alpha0 decomposition of the element, so long
     series cost three overlap integrals instead of one element application
     per sample.
     """
-    times, _ = _rotation_times(omega, periods, samples)
     ref = elements.apply_qplate(spec, f)
     parts = elements.qplate_alpha0_decomposition(spec, f)
     scale = f.grid.pitch ** 2
@@ -148,43 +167,17 @@ def rotating_qplate_overlap_series(spec, f, omega, periods, samples):
                            for a, b in zip(ref.components, g.components))
 
     c0, cp, cm = (overlap(g) for g in parts)
-    vals = (c0 + cp * np.exp(2j * omega * times)
+    return (c0 + cp * np.exp(2j * omega * times)
             + cm * np.exp(-2j * omega * times))
-    return vals, times
-
-
-def rotating_frequency_shift(cfg):
-    """Measured frequency shift [rad/s] for a rotating-element scenario."""
-    rot = cfg["rotation"]
-    omega, periods, samples = rot["omega"], rot["periods"], rot["samples"]
-    if samples < 64 * max(periods, 1):
-        raise ConfigError("need >= 64 samples per rotation period")
-    if cfg.name == "rotating_hwp_pair":
-        vals, times = hwp_pair_series(omega, periods, samples)
-    elif cfg.name == "rotating_qplate":
-        grid = build_grid(cfg, beam_waist(cfg["beam"]))
-        field = beams.vector_field(build_scalar_beam(grid, cfg["beam"]),
-                                   build_polarization(cfg))
-        el = cfg["element"]
-        spec = elements.QPlateSpec(el["q"], el["alpha0"], el["delta"])
-        vals, times = rotating_qplate_overlap_series(spec, field, omega,
-                                                     periods, samples)
-    else:
-        raise ConfigError(f"scenario {cfg.name!r} has no rotation series")
-    return frequency_shift_from_series(vals, times)
 
 
 # ---------------------------------------------------------------------------
 # scenario runners
 
 def _scenario_qplate_conversion(cfg, outdir, rng):
-    beam_cfg = cfg["beam"]
-    grid = build_grid(cfg, beam_waist(beam_cfg))
-    pol = build_polarization(cfg)
+    field_in = build_vector_beam(cfg)
     el = cfg["element"]
     spec = elements.QPlateSpec(el["q"], el["alpha0"], el["delta"])
-
-    field_in = beams.vector_field(build_scalar_beam(grid, beam_cfg), pol)
     field_out = elements.apply_qplate(spec, field_in)
     ledger_in = analysis.am_ledger(field_in)
     ledger_out = analysis.am_ledger(field_out)
@@ -200,10 +193,9 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
 
     psi_l, psi_r = beams.circular_components(field_out)
     converted = psi_r if s3_sign > 0 else psi_l
-    loop_radius = beam_waist(beam_cfg)
-    charge = analysis.topological_charge(converted, loop_radius)
+    charge = analysis.topological_charge(converted, beam_waist(cfg["beam"]))
 
-    tol = oam_tolerance(grid)
+    tol = oam_tolerance(field_in.grid)
     name = cfg.name
     rows = [
         SummaryRow(name, "sam_in", ledger_in.sam, s3_sign, 1e-12),
@@ -225,10 +217,8 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
 
 
 def _scenario_generalized_charge(cfg, outdir, rng):
-    beam_cfg = cfg["beam"]
-    grid = build_grid(cfg, beam_waist(beam_cfg))
-    base = build_scalar_beam(grid, beam_cfg)
-    loop_radius = beam_waist(beam_cfg)
+    base = build_beam(cfg)
+    loop_radius = beam_waist(cfg["beam"])
     rows = []
     for two_q in (-4, -2, -1, 1, 2, 4):
         spec = elements.QPlateSpec(two_q / 2.0)
@@ -245,9 +235,8 @@ def _scenario_generalized_charge(cfg, outdir, rng):
 
 
 def _scenario_lg_oam(cfg, outdir, rng):
-    beam_cfg = cfg["beam"]
-    grid = build_grid(cfg, beam_waist(beam_cfg))
-    w0 = beam_cfg["w0"]
+    grid = build_grid(cfg)
+    w0 = cfg["beam"]["w0"]
     rows = []
     for l in range(-3, 4):
         for p in (0, 1):
@@ -359,13 +348,11 @@ def _scenario_photon_partition(cfg, outdir, rng):
 
 
 def _scenario_interference_fork(cfg, outdir, rng):
-    beam_cfg = cfg["beam"]
-    grid = build_grid(cfg, beam_waist(beam_cfg))
-    beam = build_scalar_beam(grid, beam_cfg)
+    beam = build_beam(cfg)
     tilt = cfg["interference"]["tilt"]
     image = interference.interference_image(beam, tilt)
-    count = interference.fringe_fork_count(image, grid.n // 8)
-    charge = analysis.topological_charge(beam, beam_waist(beam_cfg))
+    count = interference.fringe_fork_count(image, beam.grid.n // 8)
+    charge = analysis.topological_charge(beam, beam_waist(cfg["beam"]))
     rows = [
         SummaryRow(cfg.name, "fork_count", count, charge, 0.0),
     ]
@@ -374,41 +361,28 @@ def _scenario_interference_fork(cfg, outdir, rng):
     return rows
 
 
-def _rotation_rows(cfg, rng):
-    rot = cfg["rotation"]
-    omega = rot["omega"]
-    shift = rotating_frequency_shift(cfg)
-    if omega == 0.0:
-        bin_width = 0.0
-    else:
-        bin_width = abs(omega) / rot["periods"]
-    return [SummaryRow(cfg.name, "frequency_shift", shift,
-                       2.0 * omega, bin_width)]
-
-
 def _scenario_rotating_hwp_pair(cfg, outdir, rng):
-    rows = _rotation_rows(cfg, rng)
+    omega, times = _configured_rotation(cfg)
+    vals = jones_state("L").inner(_hwp_pair_output(omega, times))
     # polarization restoration: the pair returns the input state at all t
-    rot = cfg["rotation"]
-    times, _ = _rotation_times(rot["omega"], 2, 256)
-    fixed = waveplate(math.pi, 0.0)
-    state = jones_state("L")
-    series = elements.rotating_waveplate_series(math.pi, rot["omega"], state,
-                                                times)
-    s3 = [stokes_of(apply(fixed, v)).s3 for v in series]
-    rows.append(SummaryRow(cfg.name, "restored_s3_min",
-                           float(np.min(s3)), 1.0, 1e-9))
-    return rows
+    restored = _hwp_pair_output(omega, _rotation_times(omega, 2, 256))
+    return [_frequency_shift_row(cfg, vals, times),
+            SummaryRow(cfg.name, "restored_s3_min",
+                       float(np.min(stokes_of(restored).s3)), 1.0, 1e-9)]
 
 
 def _scenario_rotating_qplate(cfg, outdir, rng):
-    return _rotation_rows(cfg, rng)
+    omega, times = _configured_rotation(cfg)
+    el = cfg["element"]
+    spec = elements.QPlateSpec(el["q"], el["alpha0"], el["delta"])
+    vals = rotating_qplate_overlap_series(spec, build_vector_beam(cfg), omega,
+                                          times)
+    return [_frequency_shift_row(cfg, vals, times)]
 
 
 def _scenario_propagation_stability(cfg, outdir, rng):
     beam_cfg = cfg["beam"]
-    grid = build_grid(cfg, beam_waist(beam_cfg))
-    beam = build_scalar_beam(grid, beam_cfg)
+    beam = build_beam(cfg)
     zs = cfg["propagation"]["z_list"]
     name = cfg.name
     rows = []
@@ -429,7 +403,7 @@ def _scenario_propagation_stability(cfg, outdir, rng):
                                    float(l), 2e-3))
         elif kind == "gaussian":
             w0 = beam_cfg["w0"]
-            zr = math.pi * w0 ** 2 / grid.wavelength
+            zr = math.pi * w0 ** 2 / beam.grid.wavelength
             w_expect = w0 * math.sqrt(1.0 + (z / zr) ** 2)
             rows.append(SummaryRow(name, f"gaussian_width_{tag}",
                                    0.5 * (rec["width_x"] + rec["width_y"]),

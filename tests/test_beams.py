@@ -23,8 +23,6 @@ def test_grid_validation():
         Grid(257, 0.01, WAVELENGTH)
     with pytest.raises(ValueError):
         Grid(64, -0.01, WAVELENGTH)
-    with pytest.raises(WaistOutOfRange):
-        Grid(64, 0.01, WAVELENGTH, max_waist=0.2)  # window 0.64 < 8 * 0.2
 
 
 def test_grid_axes_cell_centered():

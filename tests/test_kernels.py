@@ -3,7 +3,8 @@
 Each reference below is the straightforward full-grid or per-element form
 (full-grid spline sampling, complex centered derivatives, arctan2 phases,
 a per-triangle loop, the Stokes map, the waveplate closed form, per-pixel
-Jones calculus); the library's kernels must agree with it to roundoff.
+and per-sample Jones calculus, the sum of squared magnitudes); the
+library's kernels must agree with it to roundoff.
 """
 
 import math
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from scipy.ndimage import map_coordinates
 
 from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
-                      VectorField, circle_path, gaussian, geodesic_path,
-                      jones_state, laguerre_gaussian, oam_per_photon,
+                      VectorField, apply, circle_path, gaussian,
+                      geodesic_path, jones_state, laguerre_gaussian,
+                      oam_per_photon, rotating_waveplate_series,
                       sam_per_photon, solid_angle, stokes_field, stokes_of,
                       vector_field, waveplate)
 from lightsim.analysis import _oam_scalar_sums, _sample_circle
@@ -281,3 +283,33 @@ def test_vector_oam_is_intensity_weighted_component_oam():
     assert oam_per_photon(VectorField(g, ex, ey)) == pytest.approx(ref,
                                                                    rel=1e-12)
     assert -1.0 < ref < 2.0
+
+
+# --- array-valued Jones states, field power ---
+
+def test_rotating_series_matches_per_sample_waveplate():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        delta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+        omega = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0)
+        v = JonesVector(*(rng.uniform(1e-3, 1e3)
+                          * (rng.standard_normal(2)
+                             + 1j * rng.standard_normal(2))))
+        times = np.arange(128) * (2.0 * math.pi / abs(omega)) / 96
+        got = rotating_waveplate_series(delta, omega, v, times)
+        ref = [apply(waveplate(delta, omega * t), v) for t in times]
+        err = max(float(np.max(np.abs(got.ex - [r.ex for r in ref]))),
+                  float(np.max(np.abs(got.ey - [r.ey for r in ref]))))
+        assert err <= 1e-15 * v.norm()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(16, 32).map(lambda k: 2 * k),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_power_matches_squared_magnitude_sum(n, seed, scale):
+    f = random_vector_field(n, seed, scale)
+    for field in (f, ScalarField(f.grid, f.ey)):
+        ref = sum(float(np.sum(np.abs(c) ** 2)) for c in field.components)
+        assert field.power == pytest.approx(ref * field.grid.pitch ** 2,
+                                            rel=1e-13)

@@ -87,6 +87,12 @@ def test_vector_field_propagates_componentwise():
                                       far_field(ScalarField(f.grid, amp)).amp)
 
 
+def test_vector_field_widths_are_total_intensity_widths():
+    s = elliptical_gaussian(make_grid(128), 1.4, 0.8, 0.3)
+    widths = second_moment_widths(vector_field(s, jones_state("D")))
+    assert widths == pytest.approx(second_moment_widths(s), rel=1e-12)
+
+
 def test_window_too_small_raises():
     g = Grid(64, 8.0 / 64, WAVELENGTH)
     s = gaussian(g, 1.0)
