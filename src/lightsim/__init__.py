@@ -6,12 +6,10 @@ Poincare and wave-vector spheres, angular-spectrum propagation, and fork
 interferograms.
 """
 
-from .analysis import (AmLedger, EmDensities, StokesField, am_ledger,
-                       azimuthal_spectrum, classical_ke, cpoint_index,
-                       em_densities, energy_density, magnetic_energy_fraction,
+from .analysis import (AmLedger, am_ledger, azimuthal_spectrum, classical_ke,
+                       cpoint_index, energy_density, magnetic_energy_fraction,
                        momentum_density, oam_per_photon, photon_partition,
-                       sam_per_photon, stokes_field, topological_charge,
-                       weighted_wavevector)
+                       sam_per_photon, topological_charge, weighted_wavevector)
 from .beams import (Grid, ScalarField, VectorField, circular_components,
                     elliptical_gaussian, gaussian, laguerre_gaussian,
                     plane_wave_em, vector_field)
@@ -24,8 +22,8 @@ from .interference import fringe_fork_count, interference_image
 from .polarization import (JonesMatrix, JonesVector, StokesVector, apply,
                            jones_state, pancharatnam_phase, stokes_of,
                            waveplate)
-from .propagation import (conjugate_round_trip, far_field, propagate,
-                          second_moment_widths, stability_metrics)
+from .propagation import (far_field, propagate, second_moment_widths,
+                          stability_metrics)
 from .scenarios import frequency_shift_from_series, run_scenario, selftest
 
 __version__ = "0.1.0"

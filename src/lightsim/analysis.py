@@ -32,31 +32,6 @@ class AmLedger:
         return self.sam + self.oam
 
 
-@dataclass(frozen=True)
-class EmDensities:
-    """Energy density u [erg/cm^3] and momentum density g [erg s/cm^4]."""
-
-    u: float
-    g: np.ndarray
-
-
-@dataclass(frozen=True)
-class StokesField:
-    """Pixelwise Stokes parameters of a vector field."""
-
-    grid: object
-    s0: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
-
-
-def stokes_field(f):
-    """Pixelwise Stokes map of a vector field."""
-    s = stokes_of(f)
-    return StokesField(f.grid, s.s0, s.s1, s.s2, s.s3)
-
-
 def sam_per_photon(f):
     """Intensity-weighted spin helicity: sum(s3)/sum(s0), in [-1, 1].
 
@@ -156,11 +131,13 @@ def topological_charge(s, loop_radius, samples=720):
     return _winding(np.angle(vals))
 
 
-def cpoint_index(sf, loop_radius, samples=720):
-    """Polarization-singularity index: half the winding of arg(s1 + i s2)."""
-    s1 = _sample_circle(sf.grid, sf.s1, loop_radius, samples)
-    s2 = _sample_circle(sf.grid, sf.s2, loop_radius, samples)
-    s0 = _sample_circle(sf.grid, sf.s0, loop_radius, samples)
+def cpoint_index(f, loop_radius, samples=720):
+    """Polarization-singularity index of a vector field: half the winding
+    of arg(s1 + i s2)."""
+    s = stokes_of(f)
+    s1 = _sample_circle(f.grid, s.s1, loop_radius, samples)
+    s2 = _sample_circle(f.grid, s.s2, loop_radius, samples)
+    s0 = _sample_circle(f.grid, s.s0, loop_radius, samples)
     if np.min(s1 ** 2 + s2 ** 2) <= 1e-12 * np.max(s0) ** 2:
         raise LoopThroughUnpolarized(
             f"loop at r={loop_radius:g} passes through an unpolarized pixel")
@@ -188,10 +165,6 @@ def momentum_density(e, b):
     """g = (E x B)/4 pi c, Gaussian units."""
     return np.cross(np.asarray(e, float), np.asarray(b, float)) / (
         4.0 * math.pi * C_LIGHT)
-
-
-def em_densities(e, b):
-    return EmDensities(energy_density(e, b), momentum_density(e, b))
 
 
 def magnetic_energy_fraction(e, b):

@@ -32,10 +32,6 @@ def _parse_int(text):
         raise ConfigError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_str(text):
-    return text.strip()
-
-
 def _parse_float_list(text):
     return [_parse_float(part) for part in text.split(",") if part.strip()]
 
@@ -43,7 +39,7 @@ def _parse_float_list(text):
 PARSERS = {
     "float": _parse_float,
     "int": _parse_int,
-    "str": _parse_str,
+    "str": str.strip,
     "float_list": _parse_float_list,
 }
 

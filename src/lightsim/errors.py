@@ -84,10 +84,6 @@ class DegenerateSegment(LightsimError):
     """Sphere path contains an antipodal or zero-length geodesic segment."""
 
 
-class OrthogonalConsecutiveStates(LightsimError):
-    """Pancharatnam cycle contains consecutive orthogonal states."""
-
-
 # -- propagation -------------------------------------------------------------
 
 class WindowTooSmall(LightsimError):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSegment, OpenPath,
-                     OrthogonalConsecutiveStates, ZeroState)
-from .polarization import JonesVector, stokes_of, wrap_angle
+from .errors import DegenerateSegment, OpenPath, ZeroState
+from .polarization import (JonesVector, pancharatnam_phase, stokes_of,
+                           wrap_angle)
 
 POINT_NORM_TOL = 1e-12
 CLOSURE_TOL = 1e-9
@@ -51,9 +51,6 @@ class SpherePath:
                 raise DegenerateSegment(
                     "consecutive points are antipodal; geodesic undefined")
         object.__setattr__(self, "points", pts)
-
-    def reversed(self):
-        return SpherePath(self.points[::-1].copy(), self.closed)
 
 
 def _fan_apex(pts):
@@ -143,10 +140,11 @@ def jones_from_poincare(point):
 def pancharatnam_cycle_phase(states):
     """Total Pancharatnam phase around a closed cycle of states.
 
-    Sum of arg<s_k|s_{k+1}> over the cycle, wrapped to [-pi, pi).  The
-    first and last states must coincide and consecutive states must be
-    nonorthogonal.  For geodesic polygons the result equals half the
-    oriented Poincare-sphere solid angle of the cycle (mod 2 pi).
+    Sum of `pancharatnam_phase` over consecutive states, wrapped to
+    [-pi, pi), so consecutive orthogonal states raise OrthogonalStates.  The
+    first and last states must coincide.  For geodesic polygons the result
+    equals half the oriented Poincare-sphere solid angle of the cycle
+    (mod 2 pi).
     """
     if len(states) < 3:
         raise ValueError("cycle needs at least 3 states")
@@ -154,14 +152,8 @@ def pancharatnam_cycle_phase(states):
     if (abs(first.ex - last.ex) > CLOSURE_TOL
             or abs(first.ey - last.ey) > CLOSURE_TOL):
         raise OpenPath("cycle must return to its starting state")
-    total = 0.0
-    for a, b in zip(states[:-1], states[1:]):
-        ip = a.inner(b)
-        if abs(ip) <= 1e-12 * a.norm() * b.norm():
-            raise OrthogonalConsecutiveStates(
-                "consecutive states in the cycle are orthogonal")
-        total += cmath.phase(ip)
-    return wrap_angle(total)
+    return wrap_angle(sum(pancharatnam_phase(a, b)
+                          for a, b in zip(states[:-1], states[1:])))
 
 
 def _slerp(a, b, t):

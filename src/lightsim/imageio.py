@@ -37,10 +37,11 @@ def write_phase_pgm(path, phase):
     _write_pnm(path, "P5", 65535, data.tobytes(), arr.shape)
 
 
-def write_stokes_ppm(path, sf):
-    """8-bit P6 pixmap with normalized (s1, s2, s3) as RGB."""
-    s0 = np.where(sf.s0 > 0.0, sf.s0, 1.0)
-    rgb = np.stack([sf.s1 / s0, sf.s2 / s0, sf.s3 / s0], axis=-1)
+def write_stokes_ppm(path, s):
+    """8-bit P6 pixmap with normalized (s1, s2, s3) as RGB, from pixelwise
+    Stokes maps such as `stokes_of(field)`."""
+    s0 = np.where(s.s0 > 0.0, s.s0, 1.0)
+    rgb = np.stack([s.s1 / s0, s.s2 / s0, s.s3 / s0], axis=-1)
     data = np.round((np.clip(rgb, -1.0, 1.0) + 1.0) * 127.5).astype(np.uint8)
     _write_pnm(path, "P6", 255, data.tobytes(), data.shape[:2])
 

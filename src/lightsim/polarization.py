@@ -32,9 +32,6 @@ class JonesVector:
     ex: complex
     ey: complex
 
-    def as_array(self):
-        return np.array([self.ex, self.ey], dtype=complex)
-
     def norm(self):
         return math.sqrt(abs(self.ex) ** 2 + abs(self.ey) ** 2)
 
@@ -61,31 +58,24 @@ class JonesMatrix:
     def as_array(self):
         return np.array([[self.m00, self.m01], [self.m10, self.m11]], dtype=complex)
 
-    def compose(self, other):
-        """Matrix product self @ other (other acts first)."""
-        a, b = self.as_array(), other.as_array()
-        c = a @ b
-        return JonesMatrix(c[0, 0], c[0, 1], c[1, 0], c[1, 1])
-
     def __matmul__(self, other):
-        return self.compose(other)
-
-    def is_unitary(self, tol=1e-12):
-        m = self.as_array()
-        return bool(np.max(np.abs(m.conj().T @ m - np.eye(2))) < tol)
+        """Matrix product self @ other (other acts first)."""
+        c = self.as_array() @ other.as_array()
+        return JonesMatrix(c[0, 0], c[0, 1], c[1, 0], c[1, 1])
 
 
 @dataclass(frozen=True)
 class StokesVector:
-    """Real Stokes 4-vector; s3/s0 is the spin helicity."""
+    """Real Stokes 4-vector; s3/s0 is the spin helicity.
+
+    The components are arrays when `stokes_of` is given array-valued ex and
+    ey: a vector field then yields its pixelwise Stokes maps.
+    """
 
     s0: float
     s1: float
     s2: float
     s3: float
-
-    def as_array(self):
-        return np.array([self.s0, self.s1, self.s2, self.s3])
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -164,15 +154,18 @@ def apply(m, v):
 def pancharatnam_phase(a, b):
     """Pancharatnam connection arg<a|b> between nonorthogonal states.
 
-    Raises OrthogonalStates when |<a|b>| is below tolerance, where the
-    phase is indeterminate.
+    Raises OrthogonalStates when |<a|b>| is at most ORTHOGONALITY_TOL
+    |a| |b|, where the phase is indeterminate; the test is relative, so it
+    does not depend on the states' normalization.
     """
     ip = a.inner(b)
-    if abs(ip) <= ORTHOGONALITY_TOL:
+    if abs(ip) <= ORTHOGONALITY_TOL * a.norm() * b.norm():
         raise OrthogonalStates(
-            f"|<a|b>| = {abs(ip):.3e} is below {ORTHOGONALITY_TOL}; "
+            f"|<a|b>| = {abs(ip):.3e} is at most {ORTHOGONALITY_TOL} |a| |b|; "
             "phase is indeterminate")
-    return cmath.phase(ip)
+    # math.atan2, not cmath.phase: the latter raises OverflowError when the
+    # phase underflows to a subnormal
+    return math.atan2(ip.imag, ip.real)
 
 
 def wrap_angle(x):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .analysis import oam_per_photon, topological_charge
-from .beams import Grid, ScalarField
+from .beams import Grid
 from .errors import WindowTooSmall
 
 EDGE_INTENSITY_LIMIT = 1e-6
@@ -67,11 +67,10 @@ def _centered_fft2(amp, n):
     F[m] = sum_j a[j] exp(-2 pi i f_m x_j) with x_j = (j - n/2 + 1/2) p and
     f_m = (m - n/2 + 1/2) / (n p), evaluated with one FFT plus phase ramps.
     """
-    j = np.arange(n)
-    m = np.arange(n)
+    j = np.arange(n)  # input and output index alike
     # exponent: -2pi i (m - n/2 + 1/2)(j - n/2 + 1/2)/n
     pre = np.exp(-2j * math.pi * (j - n / 2 + 0.5) * (-n / 2 + 0.5) / n)
-    post = np.exp(-2j * math.pi * (m - n / 2 + 0.5) * (-n / 2 + 0.5) / n
+    post = np.exp(-2j * math.pi * (j - n / 2 + 0.5) * (-n / 2 + 0.5) / n
                   + 2j * math.pi * (-n / 2 + 0.5) ** 2 / n)
     a = amp * pre[None, :] * pre[:, None]
     f = np.fft.fft2(a)
@@ -138,13 +137,3 @@ def stability_metrics(s, zs, charge_radius_factor=1.0):
         })
     return records
 
-
-def conjugate_round_trip(s, z):
-    """Propagate forward, conjugate, propagate forward, conjugate.
-
-    Reproduces the input field (reciprocity check); negative-z propagation
-    itself is rejected.
-    """
-    fwd = propagate(s, z)
-    back = propagate(ScalarField(s.grid, np.conj(fwd.amp)), z)
-    return ScalarField(s.grid, np.conj(back.amp))

@@ -56,7 +56,23 @@ def build_grid(cfg):
     return beams.Grid(g["n"], g["window"] / g["n"], g["wavelength"])
 
 
+# The waist keys each beam kind needs; l, p and tilt have defaults.
+BEAM_WAIST_KEYS = {"gaussian": ("w0",), "elliptical": ("wx", "wy"),
+                   "lg": ("w0",), "vortex": ("w0",)}
+
+
+def _check_beam_keys(beam_cfg):
+    kind = beam_cfg["kind"]
+    if kind not in BEAM_WAIST_KEYS:
+        raise ConfigError(f"unknown beam kind {kind!r}")
+    missing = [k for k in BEAM_WAIST_KEYS[kind] if k not in beam_cfg]
+    if missing:
+        raise ConfigError(f"beam kind {kind!r} needs {', '.join(missing)} "
+                          "in [beam]")
+
+
 def build_scalar_beam(grid, beam_cfg):
+    _check_beam_keys(beam_cfg)
     kind = beam_cfg["kind"]
     if kind == "gaussian":
         return beams.gaussian(grid, beam_cfg["w0"])
@@ -66,18 +82,14 @@ def build_scalar_beam(grid, beam_cfg):
     if kind == "lg":
         return beams.laguerre_gaussian(grid, beam_cfg["l"], beam_cfg["p"],
                                        beam_cfg["w0"])
-    if kind == "vortex":
-        # Gaussian envelope with a pure azimuthal phase winding.
-        base = beams.gaussian(grid, beam_cfg["w0"])
-        return beams.ScalarField(
-            grid, base.amp * beams.azimuthal_phase(grid, beam_cfg["l"]))
-    raise ConfigError(f"unknown beam kind {kind!r}")
+    # vortex: Gaussian envelope with a pure azimuthal phase winding.
+    base = beams.gaussian(grid, beam_cfg["w0"])
+    return beams.ScalarField(
+        grid, base.amp * beams.azimuthal_phase(grid, beam_cfg["l"]))
 
 
 def beam_waist(beam_cfg):
-    if beam_cfg["kind"] == "elliptical":
-        return max(beam_cfg["wx"], beam_cfg["wy"])
-    return beam_cfg["w0"]
+    return max(beam_cfg[k] for k in BEAM_WAIST_KEYS[beam_cfg["kind"]])
 
 
 def build_beam(cfg):
@@ -130,8 +142,11 @@ def _configured_rotation(cfg):
     before the scenario builds anything."""
     rot = cfg["rotation"]
     omega, periods, samples = rot["omega"], rot["periods"], rot["samples"]
-    if samples < 64 * max(periods, 1):
-        raise ConfigError("need >= 64 samples per rotation period")
+    if periods < 1:
+        raise ConfigError(f"[rotation] periods must be >= 1, got {periods}")
+    if samples < elements.MIN_SAMPLES_PER_PERIOD * periods:
+        raise ConfigError(f"need >= {elements.MIN_SAMPLES_PER_PERIOD} "
+                          "samples per rotation period")
     return omega, _rotation_times(omega, periods, samples)
 
 
@@ -185,11 +200,11 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
     s3_sign = 1.0 if ledger_in.sam >= 0.0 else -1.0
     charge_expected = 2.0 * spec.q * s3_sign
 
-    sf_in = analysis.stokes_field(field_in)
-    sf_out = analysis.stokes_field(field_out)
-    mask = sf_in.s0 > 1e-9 * float(np.max(sf_in.s0))
-    flip_dev = float(np.max(np.abs(sf_out.s3[mask] / sf_out.s0[mask]
-                                   + sf_in.s3[mask] / sf_in.s0[mask])))
+    s_in = stokes_of(field_in)
+    s_out = stokes_of(field_out)
+    mask = s_in.s0 > 1e-9 * float(np.max(s_in.s0))
+    flip_dev = float(np.max(np.abs(s_out.s3[mask] / s_out.s0[mask]
+                                   + s_in.s3[mask] / s_in.s0[mask])))
 
     psi_l, psi_r = beams.circular_components(field_out)
     converted = psi_r if s3_sign > 0 else psi_l
@@ -210,9 +225,9 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
                    1.0, 1e-12),
     ]
     if outdir is not None:
-        write_intensity_pgm(outdir / "intensity_out.pgm", sf_out.s0)
+        write_intensity_pgm(outdir / "intensity_out.pgm", s_out.s0)
         write_phase_pgm(outdir / "phase_converted.pgm", np.angle(converted.amp))
-        write_stokes_ppm(outdir / "stokes_out.ppm", sf_out)
+        write_stokes_ppm(outdir / "stokes_out.ppm", s_out)
     return rows
 
 
@@ -235,8 +250,14 @@ def _scenario_generalized_charge(cfg, outdir, rng):
 
 
 def _scenario_lg_oam(cfg, outdir, rng):
+    beam_cfg = cfg["beam"]
+    if (beam_cfg["kind"] != "lg" or beam_cfg.get("l", 0)
+            or beam_cfg.get("p", 0)):
+        raise ConfigError("lg_oam sweeps l and p itself; [beam] must be "
+                          "kind = lg with l = p = 0")
+    _check_beam_keys(beam_cfg)
     grid = build_grid(cfg)
-    w0 = cfg["beam"]["w0"]
+    w0 = beam_cfg["w0"]
     rows = []
     for l in range(-3, 4):
         for p in (0, 1):

@@ -134,6 +134,51 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+LG_OAM_CONFIG = """\
+[scenario]
+name = lg_oam
+
+[grid]
+n = 64
+window = 8e-3
+wavelength = 632.8e-9
+
+[beam]
+kind = lg
+w0 = 1e-3
+"""
+
+HWP_PAIR_CONFIG = """\
+[scenario]
+name = rotating_hwp_pair
+
+[rotation]
+omega = 1
+"""
+
+
+@pytest.mark.parametrize("text", [
+    QPLATE_CONFIG.replace("w0 = 1e-3\n", ""),
+    QPLATE_CONFIG.replace("kind = gaussian\nw0 = 1e-3",
+                          "kind = elliptical\nwx = 1e-3"),
+    QPLATE_CONFIG.replace("kind = gaussian", "kind = bessel"),
+    LG_OAM_CONFIG.replace("w0 = 1e-3\n", ""),
+    LG_OAM_CONFIG.replace("kind = lg\nw0 = 1e-3",
+                          "kind = elliptical\nwx = 1e-3\nwy = 5e-4"),
+    LG_OAM_CONFIG + "l = 2\n",
+    LG_OAM_CONFIG + "p = 1\n",
+    HWP_PAIR_CONFIG + "periods = 0\n",
+    HWP_PAIR_CONFIG + "periods = -3\n",
+    HWP_PAIR_CONFIG + "periods = 16\nsamples = 1000\n",
+], ids=["gaussian-no-w0", "elliptical-no-wy", "unknown-kind", "lg-no-w0",
+        "lg_oam-elliptical", "lg_oam-l", "lg_oam-p", "periods-0",
+        "periods-negative", "undersampled"])
+def test_run_domain_error_exit_2(tmp_path, capsys, text):
+    assert main(["run", write(tmp_path, text),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_run_numerical_failure_exit_3(tmp_path):
     # on a 64-point grid the finite-difference OAM error exceeds tolerance
     cfg = write(tmp_path, QPLATE_CONFIG)

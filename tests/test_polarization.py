@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from lightsim import (JonesVector, apply, jones_state, pancharatnam_phase,
                       stokes_of, waveplate)
 from lightsim.errors import OrthogonalStates, ZeroState
-from lightsim.polarization import rotation
+from lightsim.polarization import rotation, wrap_angle
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -59,7 +61,9 @@ def test_waveplate_unitary_random_args():
     rng = np.random.default_rng(11)
     for _ in range(200):
         delta, alpha = rng.uniform(-2 * math.pi, 2 * math.pi, size=2)
-        assert waveplate(delta, alpha).is_unitary()
+        m = waveplate(delta, alpha).as_array()
+        np.testing.assert_allclose(m.conj().T @ m, np.eye(2), rtol=0,
+                                   atol=1e-12)
 
 
 def test_waveplate_composition_same_axis():
@@ -125,11 +129,37 @@ def test_pancharatnam_phase_antisymmetric():
         -pancharatnam_phase(b, a), abs=1e-12)
 
 
+def scaled(v, c):
+    return JonesVector(c * v.ex, c * v.ey)
+
+
 def test_pancharatnam_orthogonal_raises():
-    with pytest.raises(OrthogonalStates):
-        pancharatnam_phase(jones_state("H"), jones_state("V"))
-    with pytest.raises(OrthogonalStates):
-        pancharatnam_phase(jones_state("L"), jones_state("R"))
+    for c in (1e-8, 1.0, 1e8):
+        for p, q in (("H", "V"), ("L", "R")):
+            with pytest.raises(OrthogonalStates):
+                pancharatnam_phase(scaled(jones_state(p), c), jones_state(q))
+
+
+def test_pancharatnam_tolerance_is_relative():
+    # 45 degrees apart, only small: the phase is defined
+    a, b = JonesVector(1e-7, 0.0), JonesVector(1e-7, 1e-7)
+    assert pancharatnam_phase(a, b) == 0.0
+
+
+component = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                               allow_infinity=False)
+
+
+@given(a=st.tuples(component, component), b=st.tuples(component, component),
+       c=st.floats(1e-8, 1e8))
+def test_pancharatnam_phase_is_scale_invariant(a, b, c):
+    a, b = JonesVector(*a), JonesVector(*b)
+    assume(min(a.norm(), b.norm()) >= 1e-3)
+    assume(abs(a.inner(b)) >= 1e-3 * a.norm() * b.norm())
+    ref = pancharatnam_phase(a, b)
+    for got in (pancharatnam_phase(scaled(a, c), b),
+                pancharatnam_phase(scaled(a, c), scaled(b, c))):
+        assert abs(wrap_angle(got - ref)) <= 1e-12
 
 
 def test_zero_state_cannot_normalize():
