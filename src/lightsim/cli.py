@@ -58,7 +58,7 @@ def main(argv=None):
         if args.command == "selftest":
             return selftest(args.out, seed=args.seed, grid_n=args.grid_n)
         cfg = load_config(args.config, scenario_schemas())
-        outdir = args.out or cfg.get("output", "directory") \
+        outdir = args.out or cfg["output"].get("directory") \
             or Path("out") / cfg.name
         code, rows = run_scenario(cfg, outdir, seed=args.seed,
                                   grid_n=args.grid_n)

@@ -1,41 +1,44 @@
 """Scenario configuration files.
 
 Flat INI-style text (``[section]`` headers, ``key = value`` lines, UTF-8).
-Every scenario declares the sections and keys it understands; unknown
-sections or keys are configuration errors, as are missing required keys.
-Floats accept plain or scientific notation; lists are comma separated.
+`validate` checks every scenario config, from a file or not, against the
+scenario's section schemas: unknown sections or keys, missing required keys,
+non-finite numbers and values outside a key's domain are configuration
+errors; absent optional keys and sections get their defaults.  Floats accept
+plain or scientific notation; lists are comma separated.
 """
 
 import configparser
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, replace
 
+from .elements import MIN_SAMPLES_PER_PERIOD
 from .errors import ConfigError
 
 _ANGLE_ALIASES = {"pi": math.pi, "pi/2": math.pi / 2, "pi/4": math.pi / 4}
 
 
-def _parse_float(text):
-    key = text.strip().lower()
-    if key in _ANGLE_ALIASES:
-        return _ANGLE_ALIASES[key]
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}") from None
+def _parse_float(value):
+    if isinstance(value, str):
+        value = _ANGLE_ALIASES.get(value.strip().lower(), value)
+    if not math.isfinite(value := float(value)):
+        raise ValueError("expected a finite number")
+    return value
 
 
-def _parse_int(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}") from None
+def _parse_int(value):
+    return int(value) if isinstance(value, str) else operator.index(value)
 
 
-def _parse_float_list(text):
-    return [_parse_float(part) for part in text.split(",") if part.strip()]
+def _parse_float_list(value):
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip()]
+    return [_parse_float(v) for v in value]
 
 
+# Each parser takes INI text or an already typed value and raises
+# ValueError or TypeError on anything else.
 PARSERS = {
     "float": _parse_float,
     "int": _parse_int,
@@ -46,35 +49,55 @@ PARSERS = {
 
 @dataclass
 class Key:
+    """One key; `check` is (predicate, message) on its parsed value."""
+
     name: str
     kind: str = "float"
     required: bool = False
     default: object = None
+    check: tuple = None
 
 
 @dataclass
 class SectionSchema:
+    """One section; `check` is (predicate, message) on its defaulted keys."""
+
     name: str
     keys: list
     required: bool = False
+    check: tuple = None
 
 
-# Sections shared by most scenarios.
+# The waist keys each beam kind needs; l, p and tilt have defaults.
+BEAM_WAIST_KEYS = {"gaussian": ("w0",), "elliptical": ("wx", "wy"),
+                   "lg": ("w0",), "vortex": ("w0",)}
+
 GRID_SECTION = SectionSchema("grid", [
-    Key("n", "int", default=512),
+    # > 0 so that the pitch window / n exists; Grid checks the rest
+    Key("n", "int", default=512, check=(lambda n: n > 0, "must be > 0")),
     Key("window", "float", required=True),
     Key("wavelength", "float", required=True),
 ], required=True)
 
 BEAM_SECTION = SectionSchema("beam", [
-    Key("kind", "str", required=True),
+    Key("kind", "str", required=True,
+        check=(BEAM_WAIST_KEYS.__contains__,
+               f"must be one of {', '.join(BEAM_WAIST_KEYS)}")),
     Key("w0", "float"),
     Key("wx", "float"),
     Key("wy", "float"),
     Key("tilt", "float", default=0.0),
     Key("l", "int", default=0),
     Key("p", "int", default=0),
-], required=True)
+], required=True, check=(
+    lambda b: all(k in b for k in BEAM_WAIST_KEYS[b["kind"]]),
+    "; ".join(f"{kind} needs {', '.join(keys)}"
+              for kind, keys in BEAM_WAIST_KEYS.items())))
+
+# The beam section of a scenario that sweeps the LG mode indices itself.
+LG_SWEEP_BEAM_SECTION = replace(BEAM_SECTION, check=(
+    lambda b: (b["kind"], b["l"], b["p"]) == ("lg", 0, 0) and "w0" in b,
+    "lg_oam sweeps l and p itself; it takes kind = lg, w0 and l = p = 0"))
 
 POLARIZATION_SECTION = SectionSchema("polarization", [
     Key("kind", "str", required=True),
@@ -88,66 +111,77 @@ ELEMENT_SECTION = SectionSchema("element", [
 
 ROTATION_SECTION = SectionSchema("rotation", [
     Key("omega", "float", required=True),
-    Key("periods", "int", default=16),
+    Key("periods", "int", default=16, check=(lambda v: v > 0, "must be > 0")),
     Key("samples", "int", default=4096),
-], required=True)
+], required=True, check=(
+    lambda r: r["samples"] >= MIN_SAMPLES_PER_PERIOD * r["periods"],
+    f"need >= {MIN_SAMPLES_PER_PERIOD} samples per rotation period"))
 
 INTERFERENCE_SECTION = SectionSchema("interference", [
     Key("tilt", "float", required=True),
 ], required=True)
 
 PROPAGATION_SECTION = SectionSchema("propagation", [
-    Key("z_list", "float_list", required=True),
+    Key("z_list", "float_list", required=True,
+        check=(lambda zs: zs and min(zs) >= 0.0, "needs entries, all >= 0")),
 ], required=True)
+
+PHOTON_SECTION = SectionSchema("photon", [Key("nu", "float", default=5e14)])
 
 OUTPUT_SECTION = SectionSchema("output", [
     Key("directory", "str"),
-], required=False)
+])
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario configuration: name plus per-section key maps."""
+    """Scenario name plus per-section key maps; `validate` returns one with
+    every section of the scenario present and its defaults filled in."""
 
     name: str
-    sections: dict = field(default_factory=dict)
+    sections: dict
 
     def __getitem__(self, section):
         return self.sections[section]
 
-    def get(self, section, key, default=None):
-        return self.sections.get(section, {}).get(key, default)
 
-
-def validate_sections(parser, schemas, path="<config>"):
-    """Check a parsed INI file against section schemas; returns dicts."""
-    by_name = {s.name: s for s in schemas}
-    out = {}
-    for section in parser.sections():
-        if section == "scenario":
-            continue
-        if section not in by_name:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        schema = by_name[section]
-        keys = {k.name: k for k in schema.keys}
-        values = {}
-        for name, raw in parser.items(section):
-            if name not in keys:
+def _validate_section(schema, given):
+    unknown = set(given) - {k.name for k in schema.keys}
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in [{schema.name}]")
+    values = {}
+    for k in schema.keys:
+        if k.name in given:
+            raw = given[k.name]
+            try:
+                values[k.name] = PARSERS[k.kind](raw)
+                if k.check and not k.check[0](values[k.name]):
+                    raise ValueError(k.check[1])
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(
-                    f"{path}: unknown key {name!r} in section [{section}]")
-            values[name] = PARSERS[keys[name].kind](raw)
-        for k in schema.keys:
-            if k.name not in values:
-                if k.required:
-                    raise ConfigError(
-                        f"{path}: missing key {k.name!r} in [{section}]")
-                if k.default is not None:
-                    values[k.name] = k.default
-        out[section] = values
+                    f"[{schema.name}] {k.name} = {raw!r}: {exc}") from None
+        elif k.required:
+            raise ConfigError(f"missing key {k.name!r} in [{schema.name}]")
+        elif k.default is not None:
+            values[k.name] = k.default
+    if schema.check and not schema.check[0](values):
+        raise ConfigError(f"[{schema.name}] {schema.check[1]}")
+    return values
+
+
+def validate(name, sections, schemas):
+    """Check `sections`, {section: {key: text or value}}, against the
+    scenario's section schemas; returns the typed, defaulted config."""
+    unknown = set(sections) - {s.name for s in schemas}
+    if unknown:
+        raise ConfigError(f"unknown sections {sorted(unknown)}")
+    out = {}
     for schema in schemas:
-        if schema.required and schema.name not in out:
-            raise ConfigError(f"{path}: missing section [{schema.name}]")
-    return out
+        if schema.required and schema.name not in sections:
+            raise ConfigError(f"missing section [{schema.name}]")
+        out[schema.name] = _validate_section(schema,
+                                             sections.get(schema.name, {}))
+    return ScenarioConfig(name, out)
 
 
 def load_config(path, scenario_schemas):
@@ -163,18 +197,12 @@ def load_config(path, scenario_schemas):
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if not parser.has_section("scenario"):
-        raise ConfigError(f"{path}: missing [scenario] section")
-    extra = set(parser["scenario"]) - {"name"}
-    if extra:
-        raise ConfigError(f"{path}: unknown keys in [scenario]: {sorted(extra)}")
-    name = parser.get("scenario", "name", fallback=None)
-    if not name:
-        raise ConfigError(f"{path}: [scenario] needs a 'name' key")
-    name = name.strip()
-    if name not in scenario_schemas:
-        raise ConfigError(
-            f"{path}: unknown scenario {name!r}; known scenarios: "
-            f"{sorted(scenario_schemas)}")
-    sections = validate_sections(parser, scenario_schemas[name], path)
-    return ScenarioConfig(name, sections)
+    sections = {s: dict(parser.items(s)) for s in parser.sections()}
+    head = SectionSchema("scenario", [Key("name", "str", required=True, check=(
+        scenario_schemas.__contains__,
+        f"must be one of {', '.join(sorted(scenario_schemas))}"))])
+    try:
+        name = _validate_section(head, sections.pop("scenario", {}))["name"]
+        return validate(name, sections, scenario_schemas[name])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

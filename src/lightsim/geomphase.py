@@ -142,15 +142,17 @@ def pancharatnam_cycle_phase(states):
 
     Sum of `pancharatnam_phase` over consecutive states, wrapped to
     [-pi, pi), so consecutive orthogonal states raise OrthogonalStates.  The
-    first and last states must coincide.  For geodesic polygons the result
+    first and last states must coincide to CLOSURE_TOL times the larger of
+    their norms, so the test does not depend on the states' normalization.
+    For geodesic polygons the result
     equals half the oriented Poincare-sphere solid angle of the cycle
     (mod 2 pi).
     """
     if len(states) < 3:
         raise ValueError("cycle needs at least 3 states")
     first, last = states[0], states[-1]
-    if (abs(first.ex - last.ex) > CLOSURE_TOL
-            or abs(first.ey - last.ey) > CLOSURE_TOL):
+    tol = CLOSURE_TOL * max(first.norm(), last.norm())
+    if abs(first.ex - last.ex) > tol or abs(first.ey - last.ey) > tol:
         raise OpenPath("cycle must return to its starting state")
     return wrap_angle(sum(pancharatnam_phase(a, b)
                           for a, b in zip(states[:-1], states[1:])))

@@ -13,18 +13,17 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, beams, elements, geomphase, interference, propagation
-from .config import (BEAM_SECTION, ELEMENT_SECTION, GRID_SECTION,
-                     INTERFERENCE_SECTION, OUTPUT_SECTION,
+from .config import (BEAM_SECTION, BEAM_WAIST_KEYS, ELEMENT_SECTION,
+                     GRID_SECTION, INTERFERENCE_SECTION,
+                     LG_SWEEP_BEAM_SECTION, OUTPUT_SECTION, PHOTON_SECTION,
                      POLARIZATION_SECTION, PROPAGATION_SECTION,
-                     ROTATION_SECTION, Key, ScenarioConfig, SectionSchema)
+                     ROTATION_SECTION, ScenarioConfig, validate)
 from .constants import C_LIGHT, H_PLANCK, HBAR
 from .errors import ConfigError
 from .imageio import (write_csv, write_intensity_pgm, write_phase_pgm,
                       write_stokes_ppm)
 from .polarization import (apply, jones_state, stokes_of, waveplate,
                            wrap_angle)
-
-PHOTON_SECTION = SectionSchema("photon", [Key("nu", "float", default=5e14)])
 
 INFO = float("inf")  # tolerance marker for informational rows
 
@@ -51,34 +50,32 @@ class SummaryRow:
 # ---------------------------------------------------------------------------
 # config -> objects
 
+def _build(make, *args):
+    """make(*args), whose ValueError (a library rule the config schemas do
+    not restate) becomes a ConfigError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def build_grid(cfg):
     g = cfg["grid"]
-    return beams.Grid(g["n"], g["window"] / g["n"], g["wavelength"])
+    return _build(beams.Grid, g["n"], g["window"] / g["n"], g["wavelength"])
 
 
-# The waist keys each beam kind needs; l, p and tilt have defaults.
-BEAM_WAIST_KEYS = {"gaussian": ("w0",), "elliptical": ("wx", "wy"),
-                   "lg": ("w0",), "vortex": ("w0",)}
-
-
-def _check_beam_keys(beam_cfg):
-    kind = beam_cfg["kind"]
-    if kind not in BEAM_WAIST_KEYS:
-        raise ConfigError(f"unknown beam kind {kind!r}")
-    missing = [k for k in BEAM_WAIST_KEYS[kind] if k not in beam_cfg]
-    if missing:
-        raise ConfigError(f"beam kind {kind!r} needs {', '.join(missing)} "
-                          "in [beam]")
+def build_qplate(cfg):
+    el = cfg["element"]
+    return _build(elements.QPlateSpec, el["q"], el["alpha0"], el["delta"])
 
 
 def build_scalar_beam(grid, beam_cfg):
-    _check_beam_keys(beam_cfg)
     kind = beam_cfg["kind"]
     if kind == "gaussian":
         return beams.gaussian(grid, beam_cfg["w0"])
     if kind == "elliptical":
         return beams.elliptical_gaussian(grid, beam_cfg["wx"], beam_cfg["wy"],
-                                         beam_cfg.get("tilt", 0.0))
+                                         beam_cfg["tilt"])
     if kind == "lg":
         return beams.laguerre_gaussian(grid, beam_cfg["l"], beam_cfg["p"],
                                        beam_cfg["w0"])
@@ -100,10 +97,7 @@ def build_beam(cfg):
 def build_vector_beam(cfg):
     """The configured beam, uniformly polarized; the polarization kind is
     checked first."""
-    try:
-        pol = jones_state(cfg["polarization"]["kind"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    pol = _build(jones_state, cfg["polarization"]["kind"])
     return beams.vector_field(build_beam(cfg), pol)
 
 
@@ -135,19 +129,6 @@ def _rotation_times(omega, periods, samples):
     else:
         duration = periods * 2.0 * math.pi / abs(omega)
     return np.arange(samples) * duration / samples
-
-
-def _configured_rotation(cfg):
-    """(omega, times) of the [rotation] section; its sampling is checked
-    before the scenario builds anything."""
-    rot = cfg["rotation"]
-    omega, periods, samples = rot["omega"], rot["periods"], rot["samples"]
-    if periods < 1:
-        raise ConfigError(f"[rotation] periods must be >= 1, got {periods}")
-    if samples < elements.MIN_SAMPLES_PER_PERIOD * periods:
-        raise ConfigError(f"need >= {elements.MIN_SAMPLES_PER_PERIOD} "
-                          "samples per rotation period")
-    return omega, _rotation_times(omega, periods, samples)
 
 
 def _frequency_shift_row(cfg, vals, times):
@@ -191,8 +172,7 @@ def rotating_qplate_overlap_series(spec, f, omega, times):
 
 def _scenario_qplate_conversion(cfg, outdir, rng):
     field_in = build_vector_beam(cfg)
-    el = cfg["element"]
-    spec = elements.QPlateSpec(el["q"], el["alpha0"], el["delta"])
+    spec = build_qplate(cfg)
     field_out = elements.apply_qplate(spec, field_in)
     ledger_in = analysis.am_ledger(field_in)
     ledger_out = analysis.am_ledger(field_out)
@@ -250,14 +230,8 @@ def _scenario_generalized_charge(cfg, outdir, rng):
 
 
 def _scenario_lg_oam(cfg, outdir, rng):
-    beam_cfg = cfg["beam"]
-    if (beam_cfg["kind"] != "lg" or beam_cfg.get("l", 0)
-            or beam_cfg.get("p", 0)):
-        raise ConfigError("lg_oam sweeps l and p itself; [beam] must be "
-                          "kind = lg with l = p = 0")
-    _check_beam_keys(beam_cfg)
     grid = build_grid(cfg)
-    w0 = beam_cfg["w0"]
+    w0 = cfg["beam"]["w0"]
     rows = []
     for l in range(-3, 4):
         for p in (0, 1):
@@ -351,7 +325,7 @@ def _scenario_plane_wave_identity(cfg, outdir, rng):
 
 
 def _scenario_photon_partition(cfg, outdir, rng):
-    nu = cfg.get("photon", "nu", 5e14)
+    nu = cfg["photon"]["nu"]
     name = cfg.name
     rot, trans = analysis.photon_partition(nu)
     total = H_PLANCK * nu
@@ -383,7 +357,7 @@ def _scenario_interference_fork(cfg, outdir, rng):
 
 
 def _scenario_rotating_hwp_pair(cfg, outdir, rng):
-    omega, times = _configured_rotation(cfg)
+    omega, times = cfg["rotation"]["omega"], _rotation_times(**cfg["rotation"])
     vals = jones_state("L").inner(_hwp_pair_output(omega, times))
     # polarization restoration: the pair returns the input state at all t
     restored = _hwp_pair_output(omega, _rotation_times(omega, 2, 256))
@@ -393,11 +367,9 @@ def _scenario_rotating_hwp_pair(cfg, outdir, rng):
 
 
 def _scenario_rotating_qplate(cfg, outdir, rng):
-    omega, times = _configured_rotation(cfg)
-    el = cfg["element"]
-    spec = elements.QPlateSpec(el["q"], el["alpha0"], el["delta"])
-    vals = rotating_qplate_overlap_series(spec, build_vector_beam(cfg), omega,
-                                          times)
+    omega, times = cfg["rotation"]["omega"], _rotation_times(**cfg["rotation"])
+    vals = rotating_qplate_overlap_series(build_qplate(cfg),
+                                          build_vector_beam(cfg), omega, times)
     return [_frequency_shift_row(cfg, vals, times)]
 
 
@@ -431,13 +403,11 @@ def _scenario_propagation_stability(cfg, outdir, rng):
                                    w_expect, 0.005 * w_expect))
             rows.append(SummaryRow(name, f"oam_{tag}", rec["oam"], 0.0, 1e-9))
     # semigroup property: two half steps equal one full step
-    if zs:
-        z = max(zs)
-        one = propagation.propagate(beam, z)
-        two = propagation.propagate(propagation.propagate(beam, z / 2), z / 2)
-        err = float(np.linalg.norm(two.amp - one.amp)
-                    / np.linalg.norm(one.amp))
-        rows.append(SummaryRow(name, "semigroup_rel_err", err, 0.0, 1e-9))
+    z = max(zs)
+    one = propagation.propagate(beam, z)
+    two = propagation.propagate(propagation.propagate(beam, z / 2), z / 2)
+    err = float(np.linalg.norm(two.amp - one.amp) / np.linalg.norm(one.amp))
+    rows.append(SummaryRow(name, "semigroup_rel_err", err, 0.0, 1e-9))
     return rows
 
 
@@ -447,7 +417,8 @@ SCENARIOS = {
                           _scenario_qplate_conversion),
     "generalized_charge": ([GRID_SECTION, BEAM_SECTION, OUTPUT_SECTION],
                            _scenario_generalized_charge),
-    "lg_oam": ([GRID_SECTION, BEAM_SECTION, OUTPUT_SECTION], _scenario_lg_oam),
+    "lg_oam": ([GRID_SECTION, LG_SWEEP_BEAM_SECTION, OUTPUT_SECTION],
+               _scenario_lg_oam),
     "srp_greatcircle": ([OUTPUT_SECTION], _scenario_srp_greatcircle),
     "geometric_phase": ([OUTPUT_SECTION], _scenario_geometric_phase),
     "plane_wave_identity": ([OUTPUT_SECTION], _scenario_plane_wave_identity),
@@ -482,17 +453,17 @@ def write_summary(path, rows):
 def run_scenario(cfg, outdir, seed=0, grid_n=None):
     """Execute one scenario; writes summary.csv and images into outdir.
 
-    Returns (exit_code, rows): 0 on success, 3 when any checked quantity
-    exceeds its tolerance.
+    Validates cfg after `grid_n` replaces its [grid] n.  Returns (exit_code,
+    rows): 0 on success, 3 when any checked quantity exceeds its tolerance.
     """
-    if grid_n is not None and "grid" in cfg.sections:
-        cfg = ScenarioConfig(cfg.name, {**cfg.sections,
-                                        "grid": {**cfg.sections["grid"],
-                                                 "n": grid_n}})
+    schemas, runner = SCENARIOS[cfg.name]
+    sections = cfg.sections
+    if grid_n is not None and "grid" in sections:
+        sections = {**sections, "grid": {**sections["grid"], "n": grid_n}}
+    cfg = validate(cfg.name, sections, schemas)
     rng = np.random.default_rng(seed)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _, runner = SCENARIOS[cfg.name]
     rows = runner(cfg, outdir, rng)
     write_summary(outdir / "summary.csv", rows)
     code = 0 if all(r.ok for r in rows) else 3
@@ -516,27 +487,24 @@ def _selftest_configs(n, window, wavelength):
     configs = [
         cfg("qplate_conversion", grid=grid,
             beam={"kind": "gaussian", "w0": w0},
-            polarization={"kind": "L"},
-            element={"q": 1.0, "alpha0": 0.0, "delta": math.pi}),
+            polarization={"kind": "L"}, element={"q": 1.0}),
         cfg("generalized_charge", grid=grid,
             beam={"kind": "gaussian", "w0": w0}),
-        cfg("lg_oam", grid=grid, beam={"kind": "lg", "l": 0, "p": 0, "w0": w0}),
+        cfg("lg_oam", grid=grid, beam={"kind": "lg", "w0": w0}),
         cfg("srp_greatcircle"),
         cfg("geometric_phase"),
         cfg("plane_wave_identity"),
-        cfg("photon_partition", photon={"nu": 5e14}),
-        cfg("rotating_hwp_pair",
-            rotation={"omega": 1.0, "periods": 16, "samples": 4096}),
+        cfg("photon_partition"),
+        cfg("rotating_hwp_pair", rotation={"omega": 1.0}),
         cfg("rotating_qplate", grid={**grid, "n": min(n, 128)},
             beam={"kind": "gaussian", "w0": w0},
-            polarization={"kind": "L"},
-            element={"q": 1.0, "alpha0": 0.0, "delta": math.pi},
-            rotation={"omega": 1.0, "periods": 16, "samples": 4096}),
+            polarization={"kind": "L"}, element={"q": 1.0},
+            rotation={"omega": 1.0}),
     ]
     # interference forks: 20 synthesized charges in {-3..3}
     for l in range(-3, 4):
         configs.append(cfg("interference_fork", grid=grid,
-                           beam={"kind": "lg", "l": l, "p": 0, "w0": w0},
+                           beam={"kind": "lg", "l": l, "w0": w0},
                            interference={"tilt": tilt}))
         configs.append(cfg("interference_fork", grid=grid,
                            beam={"kind": "vortex", "l": l, "w0": w0},
@@ -549,7 +517,7 @@ def _selftest_configs(n, window, wavelength):
     pw0 = window / 16.0
     for l in (-2, -1, 1, 2):
         configs.append(cfg("propagation_stability", grid=grid,
-                           beam={"kind": "lg", "l": l, "p": 0, "w0": pw0},
+                           beam={"kind": "lg", "l": l, "w0": pw0},
                            propagation={"z_list": [zr, 2.0 * zr]}))
     configs.append(cfg("propagation_stability", grid=grid,
                        beam={"kind": "gaussian", "w0": pw0},
@@ -568,7 +536,8 @@ def selftest(outdir, seed=0, grid_n=256, window=8e-3, wavelength=632.8e-9,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    configs = _selftest_configs(grid_n, window, wavelength)
+    configs = [validate(c.name, c.sections, SCENARIOS[c.name][0])
+               for c in _selftest_configs(grid_n, window, wavelength)]
     all_rows = []
     failed = False
     for cfg in configs:

@@ -1,12 +1,16 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightsim.cli import main
 from lightsim.config import load_config
 from lightsim.errors import ConfigError
-from lightsim.scenarios import scenario_schemas
+from lightsim.scenarios import SCENARIOS, _selftest_configs, scenario_schemas
 
 QPLATE_CONFIG = """\
 [scenario]
@@ -156,26 +160,49 @@ name = rotating_hwp_pair
 omega = 1
 """
 
+PROPAGATION_CONFIG = LG_OAM_CONFIG.replace(
+    "name = lg_oam", "name = propagation_stability") + """
+[propagation]
+z_list = 1, 2
+"""
 
-@pytest.mark.parametrize("text", [
-    QPLATE_CONFIG.replace("w0 = 1e-3\n", ""),
-    QPLATE_CONFIG.replace("kind = gaussian\nw0 = 1e-3",
-                          "kind = elliptical\nwx = 1e-3"),
-    QPLATE_CONFIG.replace("kind = gaussian", "kind = bessel"),
-    LG_OAM_CONFIG.replace("w0 = 1e-3\n", ""),
-    LG_OAM_CONFIG.replace("kind = lg\nw0 = 1e-3",
-                          "kind = elliptical\nwx = 1e-3\nwy = 5e-4"),
-    LG_OAM_CONFIG + "l = 2\n",
-    LG_OAM_CONFIG + "p = 1\n",
-    HWP_PAIR_CONFIG + "periods = 0\n",
-    HWP_PAIR_CONFIG + "periods = -3\n",
-    HWP_PAIR_CONFIG + "periods = 16\nsamples = 1000\n",
+
+@pytest.mark.parametrize("text, args", [
+    (QPLATE_CONFIG.replace("w0 = 1e-3\n", ""), []),
+    (QPLATE_CONFIG.replace("kind = gaussian\nw0 = 1e-3",
+                           "kind = elliptical\nwx = 1e-3"), []),
+    (QPLATE_CONFIG.replace("kind = gaussian", "kind = bessel"), []),
+    (LG_OAM_CONFIG.replace("w0 = 1e-3\n", ""), []),
+    (LG_OAM_CONFIG.replace("kind = lg\nw0 = 1e-3",
+                           "kind = elliptical\nwx = 1e-3\nwy = 5e-4"), []),
+    (LG_OAM_CONFIG + "l = 2\n", []),
+    (LG_OAM_CONFIG + "p = 1\n", []),
+    (HWP_PAIR_CONFIG + "periods = 0\n", []),
+    (HWP_PAIR_CONFIG + "periods = -3\n", []),
+    (HWP_PAIR_CONFIG + "periods = 16\nsamples = 1000\n", []),
+    (QPLATE_CONFIG.replace("q = 1", "q = 0.3"), []),
+    (QPLATE_CONFIG.replace("q = 1", "q = nan"), []),
+    (QPLATE_CONFIG.replace("delta = pi", "delta = inf"), []),
+    (PROPAGATION_CONFIG.replace("z_list = 1, 2", "z_list = -1"), []),
+    (PHOTON_CONFIG.replace("nu = 5e14", "nu = nan"), []),
+    (HWP_PAIR_CONFIG.replace("omega = 1", "omega = nan"), []),
+    (QPLATE_CONFIG.replace("632.8e-9", "-632.8e-9"), []),
+    (QPLATE_CONFIG.replace("n = 256", "n = 33"), []),
+    (QPLATE_CONFIG, ["--grid-n", "31"]),
+    (None, ["--grid-n", "30"]),
 ], ids=["gaussian-no-w0", "elliptical-no-wy", "unknown-kind", "lg-no-w0",
         "lg_oam-elliptical", "lg_oam-l", "lg_oam-p", "periods-0",
-        "periods-negative", "undersampled"])
-def test_run_domain_error_exit_2(tmp_path, capsys, text):
-    assert main(["run", write(tmp_path, text),
-                 "--out", str(tmp_path / "o")]) == 2
+        "periods-negative", "undersampled", "q-not-half-integer", "q-nan",
+        "delta-inf", "z-negative", "nu-nan", "omega-nan",
+        "wavelength-negative", "n-odd", "run-grid-n-odd",
+        "selftest-grid-n-30"])
+def test_run_domain_error_exit_2(tmp_path, capsys, text, args):
+    out = ["--out", str(tmp_path / "o")]
+    if text is None:
+        argv = ["selftest"] + out + args
+    else:
+        argv = ["run", write(tmp_path, text)] + out + args
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
 
 
@@ -187,11 +214,14 @@ def test_run_numerical_failure_exit_3(tmp_path):
 
 
 def test_run_invalid_runtime_value_exit_3(tmp_path, capsys):
-    # syntactically valid config whose waist violates the sampling bounds
-    text = QPLATE_CONFIG.replace("w0 = 1e-3", "w0 = 5e-3")
-    assert main(["run", write(tmp_path, text),
-                 "--out", str(tmp_path / "o")]) == 3
-    assert "numerical error" in capsys.readouterr().err
+    # valid configs that break a limit of the library found while running:
+    # the waist against the sampling bounds, the mode index, the frequency
+    for text in (QPLATE_CONFIG.replace("w0 = 1e-3", "w0 = 5e-3"),
+                 QPLATE_CONFIG.replace("kind = gaussian", "kind = lg\nl = 99"),
+                 PHOTON_CONFIG.replace("nu = 5e14", "nu = -1")):
+        assert main(["run", write(tmp_path, text),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "numerical error" in capsys.readouterr().err
 
 
 def test_summary_csv_format(tmp_path):
@@ -229,8 +259,68 @@ def test_pgm_and_ppm_headers(tmp_path):
 
 
 def test_selftest_cli(tmp_path, capsys):
+    # At n = 128 the q-plate OAM estimate misses the reduced-grid tolerance
+    # (its error falls as pitch^2); every other scenario passes.
     out = tmp_path / "st"
-    assert main(["selftest", "--out", str(out), "--grid-n", "128"]) in (0, 3)
-    printed = capsys.readouterr().out
-    assert "qplate_conversion" in printed
+    assert main(["selftest", "--out", str(out), "--grid-n", "128"]) == 3
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL")]
+    assert fails == ["FAIL qplate_conversion (5/7 checks)"]
     assert (out / "summary.csv").exists()
+
+
+# --- exit-code contract under fuzzed configs ---
+
+# One valid config per scenario (n = 64), which the fuzzer then perturbs.
+FUZZ_BASE = {}
+for _cfg in _selftest_configs(64, 8e-3, 632.8e-9):
+    FUZZ_BASE.setdefault(_cfg.name, _cfg.sections)
+
+# None drops the key; a float scales a float base value (or stands alone).
+# Numbers stay small, so n, --grid-n <= 64 and samples <= 8192 throughout.
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-1e-3", "pi/2",
+                     "wide", ""]),
+    st.integers(-3, 64),
+    st.floats(0.1, 10.0),
+)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    name = draw(st.sampled_from(sorted(SCENARIOS)))
+    schemas = SCENARIOS[name][0]
+    sections = {s: dict(keys) for s, keys in FUZZ_BASE[name].items()}
+    for _ in range(draw(st.integers(1, 3))):
+        schema = draw(st.sampled_from(schemas))
+        key = draw(st.sampled_from([k.name for k in schema.keys] + ["bogus"]))
+        keys = sections.setdefault(schema.name, {})
+        value = draw(FUZZ_VALUES)
+        if value is None:
+            keys.pop(key, None)
+        elif isinstance(value, float) and isinstance(keys.get(key), float):
+            keys[key] *= value
+        else:
+            keys[key] = value
+    lines = [f"[scenario]\nname = {name}"]
+    for section, keys in sections.items():
+        lines.append(f"[{section}]")
+        for k, v in keys.items():
+            text = ", ".join(map(str, v)) if isinstance(v, list) else v
+            lines.append(f"{k} = {text}")
+    grid_n = draw(st.one_of(st.none(), st.integers(-2, 64)))
+    return "\n".join(lines) + "\n", grid_n
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=fuzzed_configs())
+def test_fuzzed_configs_keep_the_exit_code_contract(config):
+    text, grid_n = config
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "fuzz.ini"
+        ini.write_text(text)
+        argv = ["run", str(ini), "--out", str(Path(tmp) / "o")]
+        if grid_n is not None:
+            argv += ["--grid-n", str(grid_n)]
+        assert main(argv) in (0, 2, 3)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lightsim import (SpherePath, circle_path, geodesic_path, jones_from_poincare,
-                      jones_state, pancharatnam_cycle_phase, poincare_point,
-                      qplate_k_path, solid_angle, srp_phase)
+from lightsim import (JonesVector, SpherePath, circle_path, geodesic_path,
+                      jones_from_poincare, jones_state,
+                      pancharatnam_cycle_phase, poincare_point, qplate_k_path,
+                      solid_angle, srp_phase)
 from lightsim.errors import DegenerateSegment, OpenPath, OrthogonalStates
 from lightsim.scenarios import wrap_angle
 
@@ -145,8 +146,14 @@ def test_pancharatnam_octant_cycle():
 
 def test_pancharatnam_cycle_validation():
     h, v, d = jones_state("H"), jones_state("V"), jones_state("D")
-    with pytest.raises(OpenPath):
-        pancharatnam_cycle_phase([h, d, jones_state("L")])
+    # the closure test is relative: scaling every state changes nothing
+    for c in (1e-10, 1.0, 1e8):
+        open_cycle = [JonesVector(c * s.ex, c * s.ey)
+                      for s in (h, d, jones_state("L"))]
+        with pytest.raises(OpenPath):
+            pancharatnam_cycle_phase(open_cycle)
+        assert pancharatnam_cycle_phase(open_cycle + open_cycle[:1]) == \
+            pytest.approx(math.pi / 4, abs=1e-12)
     with pytest.raises(OrthogonalStates):
         pancharatnam_cycle_phase([h, v, d, h])
     with pytest.raises(ValueError):
