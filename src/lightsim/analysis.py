@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d, map_coordinates
 
 from .constants import C_LIGHT, H_PLANCK
 from .errors import (LoopThroughUnpolarized, LoopThroughZero,
@@ -44,8 +43,16 @@ def sam_per_photon(f):
     return 2.0 * float(np.vdot(f.ex, f.ey).imag) / total
 
 
-# Sixth-order centered first-derivative stencil, in units of 1/pitch.
-_D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+# Sixth-order centered first derivative, in units of 1/pitch:
+# f'_i = sum_k c_k (f_{i+k} - f_{i-k}), as (k, c_k) pairs.
+_D1 = ((1, 45.0 / 60.0), (2, -9.0 / 60.0), (3, 1.0 / 60.0))
+
+
+def _stencil_dot(u, v):
+    """Per column j, sum_i u_ij (D v)_ij with D the zero-padded stencil
+    along axis 0, summed as lagged products u_i (v_{i+k} - v_{i-k})."""
+    return sum(c * (np.einsum("ij,ij->j", u[:-k], v[k:])
+                    - np.einsum("ij,ij->j", u[k:], v[:-k])) for k, c in _D1)
 
 
 def _oam_scalar_sums(grid, amp):
@@ -54,10 +61,8 @@ def _oam_scalar_sums(grid, amp):
     """
     x = grid.axis()
     u, v = amp.real, amp.imag
-    dy = correlate1d(v, _D1, axis=0, mode="constant")
-    dx = correlate1d(v, _D1, axis=1, mode="constant")
-    num = 2.0 * (np.einsum("ij,ij->j", u, dy) @ x
-                 - np.einsum("ij,ij->i", u, dx) @ x) / grid.pitch
+    along_y, along_x = _stencil_dot(u, v), _stencil_dot(u.T, v.T)
+    num = 2.0 * (along_y @ x - along_x @ x) / grid.pitch
     den = float(np.einsum("ij,ij->", u, u) + np.einsum("ij,ij->", v, v))
     return float(num), den
 
@@ -82,19 +87,74 @@ def oam_per_photon(field):
 # Margin [px] around the circle: the spline prefilter's edge effect is 0.268^d.
 CROP_MARGIN = 24
 
+# Pole of the cubic B-spline prefilter, sqrt(3) - 2 rounded once (math.sqrt(3)
+# - 2 is an ulp off), and the terms of its causal boundary sum that are kept:
+# |pole|^40 < 1e-22.
+_POLE = -0.267949192431122706472553658494127633
+_HORIZON = 40
 
-def _sample_circle(grid, arr, radius, samples, order=3):
+
+def _spline_prefilter(c):
+    """Cubic B-spline coefficients along axis 0 of the float array `c`, in
+    place: the gain (1 - z)(1 - 1/z) = 6, then a causal and an anticausal
+    first-order recursion with the pole z, each step one row operation.
+    The rows are extended by mirroring: x_{-k} = x_k, x_{m-1+k} = x_{m-1-k}.
+    """
+    z, m = _POLE, len(c)
+    c *= (1.0 - z) * (1.0 - 1.0 / z)
+    zn, h = z ** (m - 1), min(m - 1, _HORIZON)
+    mirrored = c[1:h] + zn * c[m - 2:m - 1 - h:-1]
+    c[0] = (c[0] + zn * c[-1] + np.einsum(
+        "i,ij->j", z ** np.arange(1, h), mirrored)) / (1.0 - zn * zn)
+    rows = list(c)
+    for prev, row in zip(rows, rows[1:]):
+        row += z * prev
+    c[-1] = (z * c[-2] + c[-1]) * z / (z * z - 1.0)
+    for nxt, row in zip(rows[::-1], rows[-2::-1]):
+        np.subtract(nxt, row, out=row)
+        row *= z
+
+
+def _spline_taps(x, m):
+    """Indices (mirrored at 0 and m - 1) and weights of the four cubic
+    B-spline taps at the coordinates x, along a new last axis."""
+    f = np.floor(x)
+    y = x - f
+    z = 1.0 - y
+    w0 = z * z * z / 6.0
+    w1 = (y * y * (y - 2.0) * 3.0 + 4.0) / 6.0
+    w2 = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
+    weights = np.stack([w0, w1, w2, 1.0 - w0 - w1 - w2], axis=-1)
+    idx = np.abs(f.astype(int)[..., None] + np.arange(-1, 3))
+    return np.where(idx > m - 1, 2 * (m - 1) - idx, idx), weights
+
+
+def _sample_circle(grid, arr, radius, samples):
     """Interpolate `arr` on a centered circle; returns values at `samples`
-    uniformly spaced azimuths in [0, 2 pi)."""
+    uniformly spaced azimuths in [0, 2 pi).
+
+    Cubic B-spline interpolation on a crop around the circle: the recursive
+    prefilter with pole sqrt(3) - 2 and a mirror boundary (Unser, "Splines:
+    a perfect fit for signal and image processing", IEEE Signal Processing
+    Magazine 16(6):22, 1999), then the 4 x 4 B-spline weights at each sample.
+    """
     half = grid.window / 2.0 - grid.pitch
     if not (0.0 < radius < half):
         raise RadiusOutOfGrid(f"radius {radius:g} outside (0, {half:g})")
     theta = 2.0 * math.pi * np.arange(samples) / samples
     center = grid.n / 2 - 0.5
     lo = max(0, math.floor(center - radius / grid.pitch) - CROP_MARGIN)
-    coords = radius / grid.pitch * np.vstack([np.sin(theta), np.cos(theta)])
     crop = arr[lo:grid.n - lo, lo:grid.n - lo]
-    return map_coordinates(crop, coords + (center - lo), order=order)
+    # prefilter axis 0 of a C-contiguous real view, then of the transposed
+    # copy, so the coefficients are indexed [column, row]
+    coef = np.array(crop, dtype=complex if np.iscomplexobj(crop) else float)
+    _spline_prefilter(coef.view(float))
+    coef = np.ascontiguousarray(coef.T)
+    _spline_prefilter(coef.view(float))
+    coords = radius / grid.pitch * np.vstack([np.sin(theta), np.cos(theta)])
+    (rows, cols), (wr, wc) = _spline_taps(coords + (center - lo), len(coef))
+    taps = coef[cols[:, None, :], rows[:, :, None]]
+    return np.einsum("sa,sab,sb->s", wr, taps, wc)
 
 
 def azimuthal_spectrum(s, r, samples=512):

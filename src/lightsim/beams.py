@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, factorial
 
 from .errors import IndexOutOfRange, WaistOutOfRange
 from .polarization import JonesVector
@@ -142,6 +141,22 @@ def azimuthal_phase(grid, m, scale=None):
     return z ** abs(m)
 
 
+def _genlaguerre(n, alpha, x):
+    """Generalized Laguerre polynomial L_n^alpha(x) for integers n, alpha
+    >= 0, by the recurrence (and in the operation order) of scipy's
+    eval_genlaguerre for an integer degree."""
+    if n == 0:
+        return 1.0
+    if n == 1:
+        return -x + alpha + 1.0
+    d = -x / (alpha + 1.0)
+    p = d + 1.0
+    for k in range(1, n):
+        d = -x / (k + alpha + 1.0) * p + (k / (k + alpha + 1.0)) * d
+        p = d + p
+    return math.comb(n + alpha, n) * p
+
+
 def laguerre_gaussian(grid, l, p, w0):
     """Unit-power Laguerre-Gaussian mode LG_{l,p} at the waist plane.
 
@@ -155,9 +170,10 @@ def laguerre_gaussian(grid, l, p, w0):
     x2 = (grid.axis() / w0) ** 2
     r2 = x2[None, :] + x2[:, None]
     al = abs(l)
-    norm = math.sqrt(2.0 * factorial(p) / (math.pi * factorial(p + al))) / w0
+    norm = math.sqrt(2.0 * math.factorial(p)
+                     / (math.pi * math.factorial(p + al))) / w0
     amp = (norm * azimuthal_phase(grid, l, math.sqrt(2.0) / w0)
-           * eval_genlaguerre(p, al, 2.0 * r2)
+           * _genlaguerre(p, al, 2.0 * r2)
            * np.exp(-r2))
     return ScalarField(grid, amp)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import (ScalarField, VectorField, azimuthal_phase,
+from .beams import (MAX_L, ScalarField, VectorField, azimuthal_phase,
                     circular_components, vector_field)
 from .errors import DimensionMismatch, UndersampledRotation
 from .polarization import JonesVector, jones_state, retard
@@ -31,6 +31,10 @@ class QPlateSpec:
 
     def __post_init__(self):
         two_q = 2.0 * self.q
+        if not abs(two_q) <= MAX_L:
+            raise ValueError(
+                f"|2q| must be at most {MAX_L}, the largest azimuthal charge "
+                f"of a mode, got q={self.q}")
         if abs(two_q - round(two_q)) > 1e-12:
             raise ValueError(
                 f"2q must be an integer (axis pattern single-valued mod pi), "

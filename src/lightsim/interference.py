@@ -9,7 +9,6 @@ horizontal cuts of the normalized intensity image.
 import math
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import TiltTooSmall, UnresolvableFringes
 
@@ -51,6 +50,15 @@ def _carrier_period(row):
     return len(row) / peak
 
 
+def _count_maxima(row):
+    """Strict interior local maxima of `row`, a plateau counting once: the
+    rises followed, after any run of equal values, by a fall.  A plateau at
+    an edge is no maximum."""
+    step = np.sign(np.diff(row))
+    step = step[step != 0]
+    return int(np.count_nonzero((step[:-1] > 0) & (step[1:] < 0)))
+
+
 def fringe_fork_count(image, cut_offset):
     """(# fringe maxima below center) - (# above), at rows +-cut_offset.
 
@@ -70,6 +78,4 @@ def fringe_fork_count(image, cut_offset):
     for row in (below, above):
         if _carrier_period(row) < MIN_SAMPLES_PER_FRINGE:
             raise UnresolvableFringes("fringe period below 4 samples")
-    n_below = len(find_peaks(below)[0])
-    n_above = len(find_peaks(above)[0])
-    return n_below - n_above
+    return _count_maxima(below) - _count_maxima(above)

@@ -190,12 +190,14 @@ z_list = 1, 2
     (QPLATE_CONFIG.replace("n = 256", "n = 33"), []),
     (QPLATE_CONFIG, ["--grid-n", "31"]),
     (None, ["--grid-n", "30"]),
+    (QPLATE_CONFIG.replace("q = 1", "q = 5.5"), []),
+    (QPLATE_CONFIG.replace("q = 1", "q = 1e18"), []),
 ], ids=["gaussian-no-w0", "elliptical-no-wy", "unknown-kind", "lg-no-w0",
         "lg_oam-elliptical", "lg_oam-l", "lg_oam-p", "periods-0",
         "periods-negative", "undersampled", "q-not-half-integer", "q-nan",
         "delta-inf", "z-negative", "nu-nan", "omega-nan",
         "wavelength-negative", "n-odd", "run-grid-n-odd",
-        "selftest-grid-n-30"])
+        "selftest-grid-n-30", "q-charge-above-max-l", "q-huge"])
 def test_run_domain_error_exit_2(tmp_path, capsys, text, args):
     out = ["--out", str(tmp_path / "o")]
     if text is None:

@@ -27,6 +27,15 @@ def test_qplate_spec_requires_half_integer_q():
         QPlateSpec(0.3)
 
 
+def test_qplate_spec_bounds_the_charge():
+    # |2q| may reach MAX_L, the largest azimuthal charge of a mode
+    QPlateSpec(5.0)
+    QPlateSpec(-5.0)
+    for q in (5.5, -5.5, 1e18, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            QPlateSpec(q)
+
+
 def test_qplate_pixels_are_axis_pattern_waveplates():
     # each output pixel is waveplate(delta, q phi + alpha0) applied to the
     # input pixel, with phi the pixel's azimuth

@@ -4,26 +4,38 @@ Each reference below is the straightforward full-grid or per-element form
 (full-grid spline sampling, complex centered derivatives, arctan2 phases,
 a per-triangle loop, the Stokes map, the waveplate closed form, per-pixel
 and per-sample Jones calculus, the sum of squared magnitudes); the
-library's kernels must agree with it to roundoff.
+library's kernels must agree with it to roundoff.  scipy, which the
+library does not import, is the reference for its numpy replacements of
+find_peaks, eval_genlaguerre, correlate1d and map_coordinates.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import map_coordinates
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import correlate1d, map_coordinates
+from scipy.signal import find_peaks
+from scipy.special import eval_genlaguerre, factorial
 
+import lightsim
 from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       VectorField, apply, circle_path, gaussian,
                       geodesic_path, jones_state, laguerre_gaussian,
                       oam_per_photon, rotating_waveplate_series,
                       sam_per_photon, solid_angle, stokes_of, vector_field,
                       waveplate)
-from lightsim.analysis import _oam_scalar_sums, _sample_circle
+from lightsim.analysis import CROP_MARGIN, _oam_scalar_sums, _sample_circle
+from lightsim.beams import _genlaguerre
 from lightsim.elements import apply_qplate, qplate_alpha0_decomposition
 from lightsim.geomphase import _fan_apex
+from lightsim.interference import _count_maxima
 from lightsim.scenarios import build_scalar_beam
 
 WAVELENGTH = 632.8e-7
@@ -73,7 +85,6 @@ def polar_phase(grid, m):
 
 
 def lg_arctan2(grid, l, p, w0):
-    from scipy.special import eval_genlaguerre, factorial
     R, PHI = grid.polar()
     al = abs(l)
     norm = math.sqrt(2.0 * factorial(p) / (math.pi * factorial(p + al))) / w0
@@ -132,6 +143,42 @@ def test_sample_circle_crop_matches_full_grid(n):
             assert float(np.max(np.abs(got - ref))) < 1e-12
 
 
+def sample_circle_crop(grid, arr, radius, samples):
+    """map_coordinates (order 3) on the crop that _sample_circle takes."""
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    center = grid.n / 2 - 0.5
+    lo = max(0, math.floor(center - radius / grid.pitch) - CROP_MARGIN)
+    coords = radius / grid.pitch * np.vstack([np.sin(theta), np.cos(theta)])
+    crop = arr[lo:grid.n - lo, lo:grid.n - lo]
+    return map_coordinates(crop, coords + (center - lo), order=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(16, 80).map(lambda k: 2 * k),
+       seed=st.integers(0, 2 ** 32 - 1),
+       frac=st.floats(1e-3, 1.0 - 1e-9),
+       samples=st.sampled_from([256, 720]),
+       cplx=st.booleans(),
+       scale=st.floats(1e-3, 1e3))
+@example(n=64, seed=0, frac=1.0 - 1e-9, samples=720, cplx=True, scale=1.0)
+def test_sample_circle_matches_map_coordinates_on_crop(n, seed, frac, samples,
+                                                       cplx, scale):
+    # frac near 1 puts the circle within CROP_MARGIN of the grid edge, so
+    # the crop is clipped to the grid; within a pixel of the edge the outer
+    # taps are mirrored
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    arr = scale * rng.standard_normal((n, n))
+    if cplx:
+        arr = arr + 1j * scale * rng.standard_normal((n, n))
+    radius = frac * (g.window / 2.0 - g.pitch)
+    got = _sample_circle(g, arr, radius, samples)
+    ref = sample_circle_crop(g, arr, radius, samples)
+    assert got.dtype == ref.dtype
+    assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(
+        np.max(np.abs(arr)))
+
+
 # --- one-derivative OAM sums ---
 
 @settings(max_examples=25, deadline=None)
@@ -151,11 +198,74 @@ def test_oam_sums_match_complex_derivative_form(n, seed, scale):
     assert den == pytest.approx(float(np.sum(np.abs(amp) ** 2)), rel=1e-12)
 
 
+def oam_sums_correlate(grid, amp):
+    """The OAM sums with the derivatives as correlate1d arrays, and the
+    per-pixel terms of the numerator."""
+    d1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+    x = grid.axis()
+    u, v = amp.real, amp.imag
+    dy = correlate1d(v, d1, axis=0, mode="constant")
+    dx = correlate1d(v, d1, axis=1, mode="constant")
+    terms = 2.0 * u * (dy * x[None, :] - dx * x[:, None]) / grid.pitch
+    num = 2.0 * (np.einsum("ij,ij->j", u, dy) @ x
+                 - np.einsum("ij,ij->i", u, dx) @ x) / grid.pitch
+    return float(num), terms
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(16, 48).map(lambda k: 2 * k),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_oam_numerator_matches_correlate1d_form(n, seed, scale):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    amp = scale * (rng.standard_normal((n, n))
+                   + 1j * rng.standard_normal((n, n)))
+    num, _ = _oam_scalar_sums(g, amp)
+    ref, terms = oam_sums_correlate(g, amp)
+    assert abs(num - ref) <= 1e-13 * float(np.sum(np.abs(terms)))
+
+
 def test_oam_sums_of_real_field():
     s = gaussian(make_grid(64), 1.0)
     num, den = _oam_scalar_sums(s.grid, s.amp)
     assert num == 0.0
     assert den == pytest.approx(float(np.sum(s.amp ** 2)), rel=1e-14)
+
+
+# --- Laguerre polynomials ---
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(0, 5), l=st.integers(-10, 10),
+       x=arrays(np.float64, st.integers(1, 64),
+                elements=st.floats(0.0, 1e4)))
+def test_genlaguerre_is_bit_identical_to_scipy(p, l, x):
+    ref = eval_genlaguerre(p, abs(l), x)
+    got = np.broadcast_to(_genlaguerre(p, abs(l), x), ref.shape)
+    assert np.array_equal(got, ref)
+
+
+# --- fork-fringe maxima ---
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=40))
+@example([0, 1, 1, 0, 2, 2, 2, 1, 3, 0, 0, 5, 5])  # 3; the edge plateau is none
+def test_maxima_count_matches_find_peaks(row):
+    # a small alphabet makes plateaus, inside and at the edges, common
+    row = np.array(row, dtype=float)
+    assert _count_maxima(row) == len(find_peaks(row)[0])
+
+
+# --- numpy alone at import ---
+
+def test_import_loads_no_scipy():
+    src = str(Path(lightsim.__file__).resolve().parents[1])
+    code = ("import sys, lightsim, lightsim.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 # --- arctan2-free azimuthal phases ---
