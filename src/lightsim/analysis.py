@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beams import overlap, sum_abs2
 from .constants import C_LIGHT, H_PLANCK
 from .errors import (LoopThroughUnpolarized, LoopThroughZero,
                      NonpositiveFrequency, RadiusOutOfGrid, ZeroAmplitudes,
@@ -37,10 +38,10 @@ def sam_per_photon(f):
     sum(s3) = 2 Im<ex|ey> and sum(s0) = <ex|ex> + <ey|ey>, so no Stokes
     map is built.
     """
-    total = float(np.vdot(f.ex, f.ex).real + np.vdot(f.ey, f.ey).real)
+    total = sum_abs2(f.ex) + sum_abs2(f.ey)
     if total <= 0.0:
         raise ZeroField("SAM undefined for a zero-power field")
-    return 2.0 * float(np.vdot(f.ex, f.ey).imag) / total
+    return 2.0 * overlap(f.ex, f.ey).imag / total
 
 
 # Sixth-order centered first derivative, in units of 1/pitch:
@@ -63,8 +64,7 @@ def _oam_scalar_sums(grid, amp):
     u, v = amp.real, amp.imag
     along_y, along_x = _stencil_dot(u, v), _stencil_dot(u.T, v.T)
     num = 2.0 * (along_y @ x - along_x @ x) / grid.pitch
-    den = float(np.einsum("ij,ij->", u, u) + np.einsum("ij,ij->", v, v))
-    return float(num), den
+    return float(num), sum_abs2(amp)
 
 
 def oam_per_photon(field):

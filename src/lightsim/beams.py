@@ -59,14 +59,36 @@ class Grid:
         return np.hypot(X, Y), np.arctan2(Y, X)
 
 
+def _dot(a, b):
+    return np.einsum("ij,ij->", a, b)
+
+
+def sum_abs2(a):
+    """sum |a|^2 over the pixels of a complex map.
+
+    Pixel reductions use einsum over the real and imaginary parts, not a
+    BLAS dot (np.vdot, np.linalg.norm): a threaded BLAS call can stall for
+    milliseconds waiting on a busy core, even on a 128 x 128 map.
+    """
+    u, v = a.real, a.imag
+    return float(_dot(u, u) + _dot(v, v))
+
+
+def overlap(a, b):
+    """<a|b> = sum conj(a) b over the pixels of two complex maps, summed
+    like `sum_abs2`."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return complex(_dot(ar, br) + _dot(ai, bi), _dot(ar, bi) - _dot(ai, br))
+
+
 class _Field:
     """What scalar and vector fields share: `components`, the tuple of
     complex arrays on `grid`, and the total power over all of them."""
 
     @property
     def power(self):
-        total = sum(np.vdot(c, c).real for c in self.components)
-        return float(total) * self.grid.pitch ** 2
+        total = sum(sum_abs2(c) for c in self.components)
+        return total * self.grid.pitch ** 2
 
 
 @dataclass(frozen=True)
@@ -186,15 +208,19 @@ def vector_field(s, pol):
     return VectorField(s.grid, ex * s.amp, ey * s.amp)
 
 
-def circular_components(f):
-    """Project a vector field on the circular basis; returns (psi_L, psi_R).
+def circular_component(f, hand):
+    """Project a vector field on the circular state `hand` ('L' or 'R').
 
-    psi_L = <L|field>, psi_R = <R|field> per pixel, as scalar fields.
+    psi_L = <L|field> = (ex - i ey)/sqrt(2) and psi_R = <R|field> =
+    (ex + i ey)/sqrt(2) per pixel, as a scalar field.
     """
-    inv = 1.0 / math.sqrt(2.0)
-    psi_l = (f.ex - 1j * f.ey) * inv
-    psi_r = (f.ex + 1j * f.ey) * inv
-    return ScalarField(f.grid, psi_l), ScalarField(f.grid, psi_r)
+    i = -1j if hand == "L" else 1j
+    return ScalarField(f.grid, (f.ex + i * f.ey) * (1.0 / math.sqrt(2.0)))
+
+
+def circular_components(f):
+    """Project a vector field on the circular basis; returns (psi_L, psi_R)."""
+    return circular_component(f, "L"), circular_component(f, "R")
 
 
 def plane_wave_em(e0, polarization, phase, axis_ratio=0.5):

@@ -39,10 +39,19 @@ def write_phase_pgm(path, phase):
 
 def write_stokes_ppm(path, s):
     """8-bit P6 pixmap with normalized (s1, s2, s3) as RGB, from pixelwise
-    Stokes maps such as `stokes_of(field)`."""
+    Stokes maps such as `stokes_of(field)`.
+
+    Each channel is scaled in one float map and stored into the uint8
+    pixmap before the next, so no float RGB stack is built.
+    """
     s0 = np.where(s.s0 > 0.0, s.s0, 1.0)
-    rgb = np.stack([s.s1 / s0, s.s2 / s0, s.s3 / s0], axis=-1)
-    data = np.round((np.clip(rgb, -1.0, 1.0) + 1.0) * 127.5).astype(np.uint8)
+    data = np.empty(s0.shape + (3,), dtype=np.uint8)
+    for channel, sk in enumerate((s.s1, s.s2, s.s3)):
+        c = sk / s0
+        np.clip(c, -1.0, 1.0, out=c)
+        c += 1.0
+        c *= 127.5
+        data[..., channel] = np.round(c, out=c)
     _write_pnm(path, "P6", 255, data.tobytes(), data.shape[:2])
 
 

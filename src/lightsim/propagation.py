@@ -22,7 +22,7 @@ EDGE_INTENSITY_LIMIT = 1e-6
 
 
 def _check_edges(amp, where):
-    peak = float(np.max(np.abs(amp) ** 2))
+    peak = float(np.max(np.abs(amp))) ** 2
     if peak == 0.0:
         return
     edge = max(float(np.max(np.abs(amp[0, :]) ** 2)),
@@ -35,30 +35,54 @@ def _check_edges(amp, where):
             f"exceeds {EDGE_INTENSITY_LIMIT:g}; enlarge the window")
 
 
-def _transfer(grid, z):
+def _kz(grid):
+    """k_z = sqrt(k^2 - kx^2 - ky^2) on the FFT grid, 0 where it is not
+    real, and the mask of those evanescent frequencies."""
     fx = np.fft.fftfreq(grid.n, d=grid.pitch)
     kx = 2.0 * math.pi * fx
     kx2 = kx[None, :] ** 2 + kx[:, None] ** 2
-    k2 = grid.k ** 2
-    kz2 = k2 - kx2
-    prop = kz2 > 0.0
-    h = np.zeros(kz2.shape, dtype=complex)
-    h[prop] = np.exp(1j * z * np.sqrt(kz2[prop]))
-    return h
+    kz2 = grid.k ** 2 - kx2
+    return np.sqrt(np.maximum(kz2, 0.0)), kz2 <= 0.0
+
+
+def propagations(field, zs):
+    """Yield a scalar or vector field propagated by each distance z >= 0 in
+    `zs`, in order.
+
+    Every z is checked, then the input edges, before any transform; each
+    component is transformed forward once and k_z is built once, so each
+    output costs a transfer phase and an inverse FFT per component.  The
+    generator holds the spectra, not its outputs: a caller that drops each
+    output before asking for the next keeps one output plane alive.
+    """
+    zs = list(zs)
+    if any(z < 0.0 for z in zs):
+        raise ValueError("propagation distance must be nonnegative")
+    for amp in field.components:
+        _check_edges(amp, "input")
+    grid, make = field.grid, type(field)
+    specs = [np.fft.fft2(amp) for amp in field.components]
+    kz, evanescent = _kz(grid)
+    for z in zs:
+        yield make(grid,
+                   *(_advance(spec, kz, evanescent, z) for spec in specs))
+
+
+def _advance(spec, kz, evanescent, z):
+    """Inverse FFT of a spectrum times the transfer function, which is
+    exp(i z k_z) on the propagating frequencies and 0 on the evanescent
+    ones."""
+    h = 1j * z * kz
+    np.exp(h, out=h)
+    h[evanescent] = 0.0
+    amp = np.fft.ifft2(np.multiply(spec, h, out=h))
+    _check_edges(amp, "output")
+    return amp
 
 
 def propagate(field, z):
     """Propagate a scalar or vector field by distance z >= 0."""
-    if z < 0.0:
-        raise ValueError("propagation distance must be nonnegative")
-    h = _transfer(field.grid, z)
-    out = []
-    for amp in field.components:
-        _check_edges(amp, "input")
-        amp = np.fft.ifft2(np.fft.fft2(amp) * h)
-        _check_edges(amp, "output")
-        out.append(amp)
-    return type(field)(field.grid, *out)
+    return next(propagations(field, [z]))
 
 
 def _centered_fft2(amp, n):
@@ -122,18 +146,18 @@ def stability_metrics(s, zs, charge_radius_factor=1.0):
     charge on a circle at the rms radius, and the OAM per photon.  `s` must
     be a scalar field, since the charge is read from its `amp`.
     """
-    records = []
-    for z in zs:
-        out = propagate(s, z)
+    zs = list(zs)
+
+    def record(z, out):
         wx, wy = second_moment_widths(out)
         radius = charge_radius_factor * 0.5 * math.hypot(wx, wy)
-        charge = topological_charge(out, radius)
-        records.append({
+        return {
             "z": float(z),
             "width_x": wx,
             "width_y": wy,
-            "charge": charge,
+            "charge": topological_charge(out, radius),
             "oam": oam_per_photon(out),
-        })
-    return records
+        }
 
+    # map, unlike a for loop, lets go of each output before the next
+    return list(map(record, zs, propagations(s, zs)))

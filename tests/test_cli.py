@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lightsim.cli import main
 from lightsim.config import load_config
-from lightsim.errors import ConfigError
+from lightsim.errors import ConfigError, NonpositiveFrequency
 from lightsim.scenarios import SCENARIOS, _selftest_configs, scenario_schemas
 
 QPLATE_CONFIG = """\
@@ -269,6 +269,48 @@ def test_selftest_cli(tmp_path, capsys):
              if line.startswith("FAIL")]
     assert fails == ["FAIL qplate_conversion (5/7 checks)"]
     assert (out / "summary.csv").exists()
+
+
+def test_selftest_records_a_raising_config_and_runs_the_rest(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    schemas, _ = SCENARIOS["photon_partition"]
+
+    def raising_runner(cfg, outdir, rng):
+        raise NonpositiveFrequency("injected")
+
+    monkeypatch.setitem(SCENARIOS, "photon_partition",
+                        (schemas, raising_runner))
+    out = tmp_path / "st"
+    assert main(["selftest", "--out", str(out), "--grid-n", "256"]) == 3
+    printed = capsys.readouterr().out.splitlines()
+    assert "ERROR photon_partition: NonpositiveFrequency: injected" in printed
+    assert [line for line in printed if line.startswith("FAIL")] == [
+        "FAIL photon_partition (0/1 checks)"]
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert [r for r in rows if r.startswith("photon_partition,")] == [
+        "photon_partition,error[NonpositiveFrequency],"
+        "1.0000000000000000e+00,0.0000000000000000e+00,"
+        "0.0000000000000000e+00,fail"]
+    assert {r.split(",")[0] for r in rows[1:]} == set(SCENARIOS)
+
+
+def test_selftest_reduces_pixel_maps_without_blas(tmp_path, monkeypatch):
+    # A threaded BLAS dot can stall for milliseconds on a busy core, so no
+    # pixel map may reach np.vdot or np.linalg.norm.  The per-vertex norms
+    # of geomphase act on (points, 3) arrays and are not pixel maps.
+    def guard(blas):
+        def call(*args, **kwargs):
+            for a in args:
+                if np.ndim(a) == 2 and min(np.shape(a)) >= 32:
+                    raise AssertionError(f"{blas.__name__} on a pixel map")
+            return blas(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "vdot", guard(np.vdot))
+    monkeypatch.setattr(np.linalg, "norm", guard(np.linalg.norm))
+    # exit 3: the n = 128 q-plate OAM check, as in test_selftest_cli
+    assert main(["selftest", "--out", str(tmp_path), "--grid-n", "128"]) == 3
 
 
 # --- exit-code contract under fuzzed configs ---

@@ -28,13 +28,14 @@ import lightsim
 from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       VectorField, apply, circle_path, gaussian,
                       geodesic_path, jones_state, laguerre_gaussian,
-                      oam_per_photon, rotating_waveplate_series,
+                      oam_per_photon, propagations, rotating_waveplate_series,
                       sam_per_photon, solid_angle, stokes_of, vector_field,
                       waveplate)
 from lightsim.analysis import CROP_MARGIN, _oam_scalar_sums, _sample_circle
-from lightsim.beams import _genlaguerre
+from lightsim.beams import _genlaguerre, overlap, sum_abs2
 from lightsim.elements import apply_qplate, qplate_alpha0_decomposition
 from lightsim.geomphase import _fan_apex
+from lightsim.imageio import write_stokes_ppm
 from lightsim.interference import _count_maxima
 from lightsim.scenarios import build_scalar_beam
 
@@ -106,6 +107,26 @@ def stokes_map(ex, ey):
     ax2, ay2 = np.abs(ex) ** 2, np.abs(ey) ** 2
     cross = np.conj(ex) * ey
     return ax2 + ay2, ax2 - ay2, 2.0 * cross.real, 2.0 * cross.imag
+
+
+def stokes_ppm_stacked(s):
+    """P6 pixel bytes of normalized (s1, s2, s3), from a stacked float RGB
+    array."""
+    s0 = np.where(s.s0 > 0.0, s.s0, 1.0)
+    rgb = np.stack([s.s1 / s0, s.s2 / s0, s.s3 / s0], axis=-1)
+    return np.round((np.clip(rgb, -1.0, 1.0) + 1.0) * 127.5).astype(
+        np.uint8).tobytes()
+
+
+def propagate_masked_transfer(amp, grid, z):
+    """Angular-spectrum step with the transfer function gathered on the
+    propagating frequencies and scattered into a zero array."""
+    kx = 2.0 * math.pi * np.fft.fftfreq(grid.n, d=grid.pitch)
+    kz2 = grid.k ** 2 - (kx[None, :] ** 2 + kx[:, None] ** 2)
+    prop = kz2 > 0.0
+    h = np.zeros(kz2.shape, dtype=complex)
+    h[prop] = np.exp(1j * z * np.sqrt(kz2[prop]))
+    return np.fft.ifft2(np.fft.fft2(amp) * h)
 
 
 def waveplate_closed_form(delta, alpha):
@@ -423,3 +444,48 @@ def test_power_matches_squared_magnitude_sum(n, seed, scale):
         ref = sum(float(np.sum(np.abs(c) ** 2)) for c in field.components)
         assert field.power == pytest.approx(ref * field.grid.pitch ** 2,
                                             rel=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(16, 32).map(lambda k: 2 * k),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_overlap_matches_vdot(n, seed, scale):
+    f = random_vector_field(n, seed, scale)
+    for a, b in ((f.ex, f.ey), (f.ey, f.ex), (f.ex, f.ex)):
+        norm_a, norm_b = np.vdot(a, a).real, np.vdot(b, b).real
+        assert sum_abs2(a) == pytest.approx(norm_a, rel=1e-13)
+        # roundoff relative to the Cauchy-Schwarz bound, since <a|b> of
+        # random maps cancels
+        bound = math.sqrt(norm_a * norm_b)
+        assert abs(overlap(a, b) - np.vdot(a, b)) <= 1e-14 * bound
+
+
+# --- channel-by-channel Stokes pixmap ---
+
+def test_stokes_ppm_matches_stacked_form(tmp_path):
+    f = random_vector_field(64, 9)
+    f.ex[:8], f.ey[:8] = 0.0, 0.0                       # s0 = 0
+    f.ey[8:16] = 1j * f.ex[8:16]                        # pure L: |s3/s0| ~ 1
+    f.ey[16:24] = -1j * f.ex[16:24]                     # pure R
+    f.ey[24:32] = f.ex[24:32]                           # pure D
+    s = stokes_of(f)
+    write_stokes_ppm(tmp_path / "s.ppm", s)
+    header = b"P6\n64 64\n255\n"
+    data = (tmp_path / "s.ppm").read_bytes()
+    assert data[:len(header)] == header
+    assert data[len(header):] == stokes_ppm_stacked(s)
+
+
+# --- k_z built once per beam ---
+
+@pytest.mark.parametrize("pitch", [2.0, 0.4])
+def test_propagation_matches_masked_transfer(pitch):
+    # pitch in wavelengths: at 0.4 half the FFT grid is evanescent, and the
+    # Gaussian's spectrum there is ~1e-13 of its peak, not zero
+    g = Grid(64, pitch, 1.0)
+    s = gaussian(g, 1.7 * pitch / 0.4)
+    zs = (0.0, 1.25 * pitch, 0.625 * pitch)
+    for z, out in zip(zs, propagations(s, zs)):
+        np.testing.assert_array_equal(out.amp,
+                                      propagate_masked_transfer(s.amp, g, z))

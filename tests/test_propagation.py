@@ -5,8 +5,8 @@ import pytest
 
 from lightsim import (Grid, ScalarField, elliptical_gaussian, far_field,
                       gaussian, jones_state, laguerre_gaussian, oam_per_photon,
-                      propagate, second_moment_widths, stability_metrics,
-                      topological_charge, vector_field)
+                      propagate, propagations, second_moment_widths,
+                      stability_metrics, topological_charge, vector_field)
 from lightsim.errors import WindowTooSmall
 
 WAVELENGTH = 632.8e-7  # cm
@@ -30,6 +30,30 @@ def test_negative_distance_rejected():
     s = gaussian(make_grid(), 1.0)
     with pytest.raises(ValueError):
         propagate(s, -1.0)
+
+
+def test_propagations_equal_one_propagate_per_distance():
+    s = laguerre_gaussian(make_grid(128), 1, 0, 1.0)
+    zs = [0.0, rayleigh(1.0), 0.5 * rayleigh(1.0)]
+    for field in (s, vector_field(s, jones_state("D"))):
+        outs = list(propagations(field, zs))
+        assert len(outs) == len(zs)
+        for z, out in zip(zs, outs):
+            assert type(out) is type(field)
+            for got, ref in zip(out.components,
+                                propagate(field, z).components):
+                np.testing.assert_array_equal(got, ref)
+
+
+def test_negative_distance_rejected_before_any_transform(monkeypatch):
+    s = gaussian(make_grid(), 1.0)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT before the distances were checked")
+
+    monkeypatch.setattr(np.fft, "fft2", no_fft)
+    with pytest.raises(ValueError):
+        next(propagations(s, [rayleigh(1.0), -1.0]))
 
 
 def test_propagation_conserves_power():
