@@ -18,7 +18,7 @@ print(f"{'mode':>10s} {'charge':>7s} {'fork count':>11s}")
 for l in range(-3, 4):
     beam = ls.laguerre_gaussian(grid, l, 0, 1e-3)
     image = ls.interference_image(beam, tilt)
-    count = ls.fringe_fork_count(image, n // 8)
+    count = ls.fringe_fork_count(image)
     print(f"{'LG_' + str(l):>10s} {l:>7d} {count:>11d}")
 
 # save one interferogram for viewing

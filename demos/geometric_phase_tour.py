@@ -19,7 +19,7 @@ print(f"great-circle solid angle: {omega:.6f}  (2 pi = {2 * math.pi:.6f})")
 print(f"srp phase, helicity +1: {ls.srp_phase(great_circle, +1):+.6f}")
 print(f"srp phase, helicity -1: {ls.srp_phase(great_circle, -1):+.6f}")
 
-cap = ls.circle_path(math.pi / 6, n_points=4096)
+cap = ls.circle_path(math.pi / 6)
 print(f"\n30-degree cap solid angle: {ls.solid_angle(cap):.6f}  "
       f"(2 pi (1 - cos 30) = {2 * math.pi * (1 - math.cos(math.pi / 6)):.6f})")
 

@@ -14,10 +14,9 @@ import numpy as np
 
 from .beams import overlap, sum_abs2
 from .constants import C_LIGHT, H_PLANCK
-from .errors import (LoopThroughUnpolarized, LoopThroughZero,
-                     NonpositiveFrequency, RadiusOutOfGrid, ZeroAmplitudes,
+from .errors import (LoopThroughZero, NonpositiveFrequency, RadiusOutOfGrid,
                      ZeroEnergy, ZeroField)
-from .polarization import stokes_of, wrap_angle
+from .polarization import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -157,14 +156,14 @@ def _sample_circle(grid, arr, radius, samples):
     return np.einsum("sa,sab,sb->s", wr, taps, wc)
 
 
-def azimuthal_spectrum(s, r, samples=512):
-    """Azimuthal harmonic power fractions of psi on the circle of radius r.
+def azimuthal_spectrum(s, r):
+    """Azimuthal harmonic power fractions of psi on the circle of radius r,
+    from 512 samples.
 
     Returns a dict {l: fraction}; fractions sum to 1 (within roundoff) and
     are invariant under global phase.
     """
-    if samples < 256:
-        raise ValueError("need at least 256 samples on the circle")
+    samples = 512
     vals = _sample_circle(s.grid, s.amp, r, samples)
     c = np.fft.fft(vals) / samples
     power = np.abs(c) ** 2
@@ -175,43 +174,17 @@ def azimuthal_spectrum(s, r, samples=512):
     return {int(l): float(pw) / total for l, pw in zip(ls, power)}
 
 
-def _winding(angles):
-    """Integer winding number of a closed sequence of angles."""
-    d = wrap_angle(np.diff(np.concatenate([angles, angles[:1]])))
-    return int(round(float(np.sum(d)) / (2.0 * math.pi)))
-
-
-def topological_charge(s, loop_radius, samples=720):
-    """Phase winding of psi around a centered circle (exact integer)."""
-    vals = _sample_circle(s.grid, s.amp, loop_radius, samples)
+def topological_charge(s, loop_radius):
+    """Phase winding of psi around a centered circle of 720 samples (exact
+    integer)."""
+    vals = _sample_circle(s.grid, s.amp, loop_radius, 720)
     peak = float(np.max(np.abs(s.amp)))
     if np.min(np.abs(vals)) <= 1e-9 * peak:
         raise LoopThroughZero(
             f"loop at r={loop_radius:g} passes within 1e-9 of a field zero")
-    return _winding(np.angle(vals))
-
-
-def cpoint_index(f, loop_radius, samples=720):
-    """Polarization-singularity index of a vector field: half the winding
-    of arg(s1 + i s2)."""
-    s = stokes_of(f)
-    s1 = _sample_circle(f.grid, s.s1, loop_radius, samples)
-    s2 = _sample_circle(f.grid, s.s2, loop_radius, samples)
-    s0 = _sample_circle(f.grid, s.s0, loop_radius, samples)
-    if np.min(s1 ** 2 + s2 ** 2) <= 1e-12 * np.max(s0) ** 2:
-        raise LoopThroughUnpolarized(
-            f"loop at r={loop_radius:g} passes through an unpolarized pixel")
-    return 0.5 * _winding(np.arctan2(s2, s1))
-
-
-def weighted_wavevector(rho1, rho2, k1, k2):
-    """Intensity-weighted mean wave vector of two circular components."""
-    w1, w2 = rho1 ** 2, rho2 ** 2
-    if w1 + w2 <= 0.0:
-        raise ZeroAmplitudes("both amplitudes vanish")
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    return (w1 * k1 + w2 * k2) / (w1 + w2)
+    angles = np.angle(vals)
+    steps = wrap_angle(np.diff(np.concatenate([angles, angles[:1]])))
+    return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
 
 
 def energy_density(e, b):

@@ -223,14 +223,14 @@ def circular_components(f):
     return circular_component(f, "L"), circular_component(f, "R")
 
 
-def plane_wave_em(e0, polarization, phase, axis_ratio=0.5):
+def plane_wave_em(e0, polarization, phase):
     """Instantaneous real (E, B) of a plane wave propagating along +z.
 
     Gaussian units; `phase` is the optical phase w*t.  Kinds:
 
     * 'linear'     E along x, E = (e0 cos, 0, 0)
     * 'circular'   |E| = e0 at all times
-    * 'elliptical' semi-axes e0 and axis_ratio * e0
+    * 'elliptical' semi-axes e0 and e0 / 2
 
     B = z x E pointwise, so E.B = 0 and |E| = |B|.
     """
@@ -240,7 +240,7 @@ def plane_wave_em(e0, polarization, phase, axis_ratio=0.5):
     elif polarization == "circular":
         ex, ey = e0 * c, e0 * s
     elif polarization == "elliptical":
-        ex, ey = e0 * c, axis_ratio * e0 * s
+        ex, ey = e0 * c, 0.5 * e0 * s
     else:
         raise ValueError(f"unknown polarization kind {polarization!r}")
     e = np.array([ex, ey, 0.0])

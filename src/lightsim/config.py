@@ -99,14 +99,17 @@ LG_SWEEP_BEAM_SECTION = replace(BEAM_SECTION, check=(
     lambda b: (b["kind"], b["l"], b["p"]) == ("lg", 0, 0) and "w0" in b,
     "lg_oam sweeps l and p itself; it takes kind = lg, w0 and l = p = 0"))
 
+# The q-plate scenarios check half-wave conversion of circular light.
 POLARIZATION_SECTION = SectionSchema("polarization", [
-    Key("kind", "str", required=True),
+    Key("kind", "str", required=True,
+        check=(("L", "R").__contains__, "must be L or R")),
 ], required=True)
 
 ELEMENT_SECTION = SectionSchema("element", [
     Key("q", "float", required=True),
     Key("alpha0", "float", default=0.0),
-    Key("delta", "float", default=math.pi),
+    Key("delta", "float", default=math.pi,
+        check=(lambda d: abs(d - math.pi) <= 1e-12, "must be pi")),
 ], required=True)
 
 ROTATION_SECTION = SectionSchema("rotation", [

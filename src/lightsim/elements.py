@@ -15,7 +15,7 @@ import numpy as np
 
 from .beams import (MAX_L, ScalarField, VectorField, azimuthal_phase,
                     circular_components, vector_field)
-from .errors import DimensionMismatch, UndersampledRotation
+from .errors import UndersampledRotation
 from .polarization import JonesVector, jones_state, retard
 
 MIN_SAMPLES_PER_PERIOD = 64
@@ -41,20 +41,6 @@ class QPlateSpec:
                 f"got q={self.q}")
 
 
-@dataclass(frozen=True)
-class PatternedRetarder:
-    """Retarder with a free fast-axis angle map (radians) and retardance."""
-
-    alpha_map: np.ndarray
-    delta: float
-
-
-def _apply_retarder_map(e2, delta, f):
-    """Vectorized per-pixel waveplate whose axis angle alpha is given as the
-    map e2 = exp(2i alpha)."""
-    return VectorField(f.grid, *retard(delta, e2, f.ex, f.ey))
-
-
 def _qplate_e2(spec, grid):
     """exp(2i alpha) = exp(2i alpha0) (exp(i phi))^(2q); 2q is an integer."""
     return (cmath.exp(2j * spec.alpha0)
@@ -62,17 +48,10 @@ def _qplate_e2(spec, grid):
 
 
 def apply_qplate(spec, f):
-    """Apply the q-plate to every pixel of a vector field (unitary)."""
-    return _apply_retarder_map(_qplate_e2(spec, f.grid), spec.delta, f)
-
-
-def apply_patterned(p, f):
-    """Apply a patterned retarder; the map must match the field grid."""
-    if p.alpha_map.shape != f.ex.shape:
-        raise DimensionMismatch(
-            f"alpha_map shape {p.alpha_map.shape} does not match field shape "
-            f"{f.ex.shape}")
-    return _apply_retarder_map(np.exp(2j * p.alpha_map), p.delta, f)
+    """Apply the q-plate to every pixel of a vector field (unitary): a
+    waveplate whose axis angle alpha is given by the map exp(2i alpha)."""
+    return VectorField(f.grid,
+                       *retard(spec.delta, _qplate_e2(spec, f.grid), f.ex, f.ey))
 
 
 def _check_sampling(omega, times):

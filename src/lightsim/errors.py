@@ -36,10 +36,6 @@ class IndexOutOfRange(LightsimError):
 
 # -- elements ----------------------------------------------------------------
 
-class DimensionMismatch(LightsimError):
-    """Patterned-retarder map does not match the field grid."""
-
-
 class UndersampledRotation(LightsimError):
     """Time series has fewer than 64 samples per rotation period."""
 
@@ -56,14 +52,6 @@ class RadiusOutOfGrid(LightsimError):
 
 class LoopThroughZero(LightsimError):
     """Winding loop passes through a near-zero of the field."""
-
-
-class LoopThroughUnpolarized(LightsimError):
-    """C-point loop passes through an effectively unpolarized pixel."""
-
-
-class ZeroAmplitudes(LightsimError):
-    """Weighted wave vector undefined when both amplitudes vanish."""
 
 
 class ZeroEnergy(LightsimError):

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSegment, OpenPath, ZeroState
-from .polarization import (JonesVector, pancharatnam_phase, stokes_of,
-                           wrap_angle)
+from .errors import DegenerateSegment, OpenPath
+from .polarization import JonesVector, pancharatnam_phase, wrap_angle
 
 POINT_NORM_TOL = 1e-12
 CLOSURE_TOL = 1e-9
@@ -26,15 +25,14 @@ CLOSURE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SpherePath:
-    """Ordered unit 3-vectors on a sphere, optionally closed.
+    """Closed path of ordered unit 3-vectors on a sphere.
 
-    Closed paths must repeat the first point at the end (within 1e-9) and
-    may not contain antipodal consecutive points, so every geodesic
-    segment is well defined.
+    The last point must repeat the first (within 1e-9), and no two
+    consecutive points may be antipodal, so every geodesic segment is well
+    defined.
     """
 
     points: np.ndarray
-    closed: bool = True
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -43,13 +41,12 @@ class SpherePath:
         norms = np.linalg.norm(pts, axis=1)
         if np.max(np.abs(norms - 1.0)) > POINT_NORM_TOL:
             raise ValueError("all path points must be unit vectors")
-        if self.closed:
-            if np.linalg.norm(pts[0] - pts[-1]) > CLOSURE_TOL:
-                raise OpenPath("closed path must end at its starting point")
-            dots = np.sum(pts[:-1] * pts[1:], axis=1)
-            if np.min(dots) <= -1.0 + 1e-12:
-                raise DegenerateSegment(
-                    "consecutive points are antipodal; geodesic undefined")
+        if np.linalg.norm(pts[0] - pts[-1]) > CLOSURE_TOL:
+            raise OpenPath("closed path must end at its starting point")
+        dots = np.sum(pts[:-1] * pts[1:], axis=1)
+        if np.min(dots) <= -1.0 + 1e-12:
+            raise DegenerateSegment(
+                "consecutive points are antipodal; geodesic undefined")
         object.__setattr__(self, "points", pts)
 
 
@@ -76,8 +73,6 @@ def solid_angle(path):
     paths accumulate 4 pi per wrap.  Excesses use the Van Oosterom &
     Strackee (1983) form 2 atan2(a.(b x c), 1 + a.b + b.c + c.a).
     """
-    if not path.closed:
-        raise OpenPath("solid angle requires a closed path")
     pts = path.points
     apex = _fan_apex(pts)
     b, c = pts[:-1], pts[1:]
@@ -97,39 +92,30 @@ def srp_phase(path, helicity):
     return -float(helicity) * solid_angle(path)
 
 
-def qplate_k_path(q, turns=1.0, points_per_turn=256):
-    """Model wave-vector-space cycle of a q-plate.
+def qplate_k_path(q):
+    """Model wave-vector-space cycle of a q-plate, 256 points per turn.
 
     The q = 1 half-wave plate maps to a single great circle (solid angle
-    2 pi).  Other charges traverse the great circle q * turns times; the
+    2 pi).  Other charges traverse the great circle q times; the
     construction for q != 1 is an extrapolation of the q = 1 picture and
-    requires an integer, nonzero total winding so the path closes.
+    requires an integer, nonzero winding so the path closes.
     """
-    winding = q * turns
-    w = round(winding)
-    if abs(winding - w) > 1e-9 or w == 0:
+    w = round(q)
+    if abs(q - w) > 1e-9 or w == 0:
         raise DegenerateSegment(
-            f"q * turns = {winding:g} must be a nonzero integer for a "
-            "closed wave-vector cycle")
-    m = points_per_turn * abs(w)
+            f"q = {q:g} must be a nonzero integer for a closed wave-vector "
+            "cycle")
+    m = 256 * abs(w)
     theta = 2.0 * math.pi * w * np.arange(m + 1) / m
     pts = np.stack([np.cos(theta), np.sin(theta), np.zeros(m + 1)], axis=1)
-    return SpherePath(pts, closed=True)
-
-
-def poincare_point(v):
-    """Map a Jones vector to its normalized Stokes vector on the sphere."""
-    s = stokes_of(v)
-    if s.s0 <= 0.0:
-        raise ZeroState("Poincare point undefined for the zero state")
-    return np.array([s.s1, s.s2, s.s3]) / s.s0
+    return SpherePath(pts)
 
 
 def jones_from_poincare(point):
     """Unit Jones state whose Poincare image is the given unit 3-vector.
 
-    Inverse of poincare_point up to global phase (the fiber the sphere
-    cannot see).
+    Inverse of the normalized Stokes vector (s1, s2, s3)/s0 up to global
+    phase (the fiber the sphere cannot see).
     """
     s1, s2, s3 = (float(c) for c in point)
     half = 0.5 * math.acos(max(-1.0, min(1.0, s1)))
@@ -167,22 +153,24 @@ def _slerp(a, b, t):
             + np.outer(np.sin(t * ang), b)) / math.sin(ang)
 
 
-def geodesic_path(vertices, samples_per_edge=64):
-    """Closed path through `vertices` along great-circle arcs."""
+def geodesic_path(vertices):
+    """Closed path through `vertices` along great-circle arcs, 64 samples
+    per edge."""
     verts = [np.asarray(v, dtype=float) for v in vertices]
     verts = [v / np.linalg.norm(v) for v in verts]
     if np.linalg.norm(verts[0] - verts[-1]) > CLOSURE_TOL:
         verts.append(verts[0])
-    t = np.arange(samples_per_edge) / samples_per_edge
+    t = np.arange(64) / 64
     segs = [_slerp(a, b, t) for a, b in zip(verts[:-1], verts[1:])]
     segs.append(verts[-1][None, :])
-    return SpherePath(np.vstack(segs), closed=True)
+    return SpherePath(np.vstack(segs))
 
 
-def circle_path(polar_angle, n_points=256, direction=1):
-    """Closed small circle at the given polar angle from +z."""
-    theta = 2.0 * math.pi * direction * np.arange(n_points + 1) / n_points
+def circle_path(polar_angle):
+    """Closed small circle at the given polar angle from +z, traversed
+    counterclockwise through 4096 points."""
+    theta = 2.0 * math.pi * np.arange(4097) / 4096
     st, ct = math.sin(polar_angle), math.cos(polar_angle)
     pts = np.stack([st * np.cos(theta), st * np.sin(theta),
-                    np.full(n_points + 1, ct)], axis=1)
-    return SpherePath(pts, closed=True)
+                    np.full(4097, ct)], axis=1)
+    return SpherePath(pts)

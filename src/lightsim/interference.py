@@ -59,22 +59,20 @@ def _count_maxima(row):
     return int(np.count_nonzero((step[:-1] > 0) & (step[1:] < 0)))
 
 
-def fringe_fork_count(image, cut_offset):
-    """(# fringe maxima below center) - (# above), at rows +-cut_offset.
+def fringe_fork_count(image):
+    """(# fringe maxima below center) - (# above), at rows n/2 +- n // 8.
 
     Rows follow image-raster order (row 0 at the top), so "below" is the
     higher row index.  For positive tilt the count equals the topological
     charge of the interfering beam.  The cuts must resolve the fringes
     (>= 4 samples per period) and should sit far enough from the
     dislocation that the local fringe frequency stays positive along the
-    cut (cut_offset * pitch > |charge| / carrier wavenumber).
+    cut (n // 8 * pitch > |charge| / carrier wavenumber).
     """
     image = np.asarray(image, dtype=float)
     n = image.shape[0]
-    if not (0 < cut_offset < n // 2):
-        raise ValueError(f"cut offset must be in (0, {n // 2})")
-    below = image[n // 2 + cut_offset, :]
-    above = image[n // 2 - cut_offset, :]
+    below = image[n // 2 + n // 8, :]
+    above = image[n // 2 - n // 8, :]
     for row in (below, above):
         if _carrier_period(row) < MIN_SAMPLES_PER_FRINGE:
             raise UnresolvableFringes("fringe period below 4 samples")

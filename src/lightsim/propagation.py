@@ -139,7 +139,7 @@ def second_moment_widths(s):
     return float(w[0]), float(w[1])
 
 
-def stability_metrics(s, zs, charge_radius_factor=1.0):
+def stability_metrics(s, zs):
     """Propagation metrics for the LG vs elliptical-Gaussian comparison.
 
     Returns one record per z with second-moment widths, the topological
@@ -150,7 +150,7 @@ def stability_metrics(s, zs, charge_radius_factor=1.0):
 
     def record(z, out):
         wx, wy = second_moment_widths(out)
-        radius = charge_radius_factor * 0.5 * math.hypot(wx, wy)
+        radius = 0.5 * math.hypot(wx, wy)
         return {
             "z": float(z),
             "width_x": wx,

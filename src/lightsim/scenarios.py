@@ -95,10 +95,9 @@ def build_beam(cfg):
 
 
 def build_vector_beam(cfg):
-    """The configured beam, uniformly polarized; the polarization kind is
-    checked first."""
-    pol = _build(jones_state, cfg["polarization"]["kind"])
-    return beams.vector_field(build_beam(cfg), pol)
+    """The configured beam, uniformly polarized."""
+    return beams.vector_field(build_beam(cfg),
+                              jones_state(cfg["polarization"]["kind"]))
 
 
 def oam_tolerance(grid):
@@ -280,7 +279,7 @@ def _scenario_geometric_phase(cfg, outdir, rng):
     octant = geomphase.geodesic_path([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     rows.append(SummaryRow(name, "octant_solid_angle",
                            geomphase.solid_angle(octant), math.pi / 2, 1e-9))
-    cap = geomphase.circle_path(math.pi / 6, n_points=4096)
+    cap = geomphase.circle_path(math.pi / 6)
     rows.append(SummaryRow(name, "polar_cap_solid_angle",
                            geomphase.solid_angle(cap),
                            2.0 * math.pi * (1.0 - math.cos(math.pi / 6)), 1e-6))
@@ -355,7 +354,9 @@ def _scenario_interference_fork(cfg, outdir, rng):
     beam = build_beam(cfg)
     tilt = cfg["interference"]["tilt"]
     image = interference.interference_image(beam, tilt)
-    count = interference.fringe_fork_count(image, beam.grid.n // 8)
+    count = interference.fringe_fork_count(image)
+    if tilt < 0.0:  # a reference tilted the other way mirrors the fork
+        count = -count
     charge = analysis.topological_charge(beam, beam_waist(cfg["beam"]))
     rows = [
         SummaryRow(cfg.name, "fork_count", count, charge, 0.0),
@@ -484,8 +485,10 @@ def run_scenario(cfg, outdir, seed=0, grid_n=None):
 # ---------------------------------------------------------------------------
 # selftest catalog
 
-def _selftest_configs(n, window, wavelength):
-    """Scenario configs covering the acceptance catalog at grid size n."""
+def _selftest_configs(n):
+    """Scenario configs covering the acceptance catalog at grid size n, on
+    an 8 mm window at 632.8 nm."""
+    window, wavelength = 8e-3, 632.8e-9
     w0 = window / 8.0
     grid = {"n": n, "window": window, "wavelength": wavelength}
     zr = math.pi * (window / 16.0) ** 2 / wavelength
@@ -536,8 +539,7 @@ def _selftest_configs(n, window, wavelength):
     return configs
 
 
-def selftest(outdir, seed=0, grid_n=256, window=8e-3, wavelength=632.8e-9,
-             verbose=print):
+def selftest(outdir, seed=0, grid_n=256, verbose=print):
     """Run the whole scenario catalog on a reduced grid.
 
     Writes one aggregated summary.csv (rows sorted by scenario name,
@@ -550,7 +552,7 @@ def selftest(outdir, seed=0, grid_n=256, window=8e-3, wavelength=632.8e-9,
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     configs = [validate(c.name, c.sections, SCENARIOS[c.name][0])
-               for c in _selftest_configs(grid_n, window, wavelength)]
+               for c in _selftest_configs(grid_n)]
     all_rows = []
     failed = False
     for cfg in configs:

@@ -112,7 +112,7 @@ def test_criterion_06_photon_partition(tmp_path):
 
 
 def test_criterion_07_interference_forks(tmp_path):
-    configs = [c for c in _selftest_configs(512, WINDOW, WAVELENGTH)
+    configs = [c for c in _selftest_configs(512)
                if c.name == "interference_fork"]
     assert len(configs) == 20
     passed = 0

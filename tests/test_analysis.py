@@ -5,14 +5,14 @@ import pytest
 
 from lightsim import (Grid, QPlateSpec, ScalarField, VectorField, am_ledger,
                       apply_qplate, azimuthal_spectrum, classical_ke,
-                      cpoint_index, energy_density, gaussian, jones_state,
+                      energy_density, gaussian, jones_state,
                       laguerre_gaussian, magnetic_energy_fraction,
                       momentum_density, oam_per_photon, photon_partition,
                       plane_wave_em, sam_per_photon, topological_charge,
-                      vector_field, weighted_wavevector)
+                      vector_field)
 from lightsim.constants import C_LIGHT, H_PLANCK, HBAR
-from lightsim.errors import (LoopThroughUnpolarized, LoopThroughZero,
-                             NonpositiveFrequency, RadiusOutOfGrid, ZeroField)
+from lightsim.errors import (LoopThroughZero, NonpositiveFrequency,
+                             RadiusOutOfGrid, ZeroField)
 
 WAVELENGTH = 632.8e-7
 
@@ -154,56 +154,6 @@ def test_topological_charge_rejects_zero_loop():
     # the balanced superposition has nodal lines crossing every circle
     with pytest.raises(LoopThroughZero):
         topological_charge(ScalarField(g, a.amp + b.amp), 1.0)
-
-
-# --- C-points ---
-
-def test_cpoint_index_of_uniform_linear_field():
-    g = make_grid(128)
-    f = vector_field(gaussian(g, 0.5), jones_state("H"))
-    assert cpoint_index(f, 0.5) == 0.0
-
-
-def test_cpoint_index_of_vector_vortex():
-    # full-conversion q-plate output from linear input: orientation winds
-    # as 2 q phi, giving index 2q
-    g = make_grid(256)
-    f = vector_field(gaussian(g, 1.0), jones_state("H"))
-    out = apply_qplate(QPlateSpec(1.0), f)
-    assert cpoint_index(out, 1.0) == pytest.approx(2.0)
-
-
-def test_cpoint_index_half_integer_from_partial_conversion():
-    # partial conversion leaves a circular carrier; the C-point index
-    # equals q, so q = 1/2 yields the half-integer lemon index
-    g = make_grid(256)
-    f = vector_field(gaussian(g, 1.0), jones_state("L"))
-    out = apply_qplate(QPlateSpec(0.5, delta=math.pi / 2), f)
-    assert cpoint_index(out, 1.0) == pytest.approx(0.5)
-    out = apply_qplate(QPlateSpec(1.0, delta=math.pi / 2), f)
-    assert cpoint_index(out, 1.0) == pytest.approx(1.0)
-
-
-def test_cpoint_loop_through_unpolarized_raises():
-    # full conversion from circular input is circular everywhere: s1, s2 = 0
-    g = make_grid(128)
-    f = vector_field(gaussian(g, 0.5), jones_state("L"))
-    out = apply_qplate(QPlateSpec(1.0), f)
-    with pytest.raises(LoopThroughUnpolarized):
-        cpoint_index(out, 0.5)
-
-
-# --- weighted wave vector ---
-
-def test_weighted_wavevector():
-    k1 = np.array([0.0, 0.0, 1.0])
-    k2 = np.array([0.2, 0.0, 0.98])
-    np.testing.assert_allclose(weighted_wavevector(1.0, 0.0, k1, k2), k1)
-    np.testing.assert_allclose(weighted_wavevector(1.0, 1.0, k1, k2),
-                               0.5 * (k1 + k2))
-    # intensity (amplitude-squared) weights
-    np.testing.assert_allclose(weighted_wavevector(1.0, 2.0, k1, k2),
-                               (k1 + 4.0 * k2) / 5.0)
 
 
 # --- energy and momentum densities ---

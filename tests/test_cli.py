@@ -192,12 +192,17 @@ z_list = 1, 2
     (None, ["--grid-n", "30"]),
     (QPLATE_CONFIG.replace("q = 1", "q = 5.5"), []),
     (QPLATE_CONFIG.replace("q = 1", "q = 1e18"), []),
+    (QPLATE_CONFIG.replace("kind = L", "kind = H"), []),
+    (QPLATE_CONFIG.replace("delta = pi", "delta = 1.0"), []),
+    (QPLATE_CONFIG.replace("qplate_conversion", "rotating_qplate").replace(
+        "delta = pi", "delta = pi/2") + "\n[rotation]\nomega = 1\n", []),
 ], ids=["gaussian-no-w0", "elliptical-no-wy", "unknown-kind", "lg-no-w0",
         "lg_oam-elliptical", "lg_oam-l", "lg_oam-p", "periods-0",
         "periods-negative", "undersampled", "q-not-half-integer", "q-nan",
         "delta-inf", "z-negative", "nu-nan", "omega-nan",
         "wavelength-negative", "n-odd", "run-grid-n-odd",
-        "selftest-grid-n-30", "q-charge-above-max-l", "q-huge"])
+        "selftest-grid-n-30", "q-charge-above-max-l", "q-huge",
+        "polarization-linear", "delta-not-pi", "rotating-quarter-wave"])
 def test_run_domain_error_exit_2(tmp_path, capsys, text, args):
     out = ["--out", str(tmp_path / "o")]
     if text is None:
@@ -206,6 +211,33 @@ def test_run_domain_error_exit_2(tmp_path, capsys, text, args):
         argv = ["run", write(tmp_path, text)] + out + args
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+FORK_CONFIG = """\
+[scenario]
+name = interference_fork
+
+[grid]
+n = 256
+window = 8e-3
+wavelength = 632.8e-9
+
+[beam]
+kind = lg
+l = 2
+w0 = 1e-3
+
+[interference]
+tilt = -0.000811
+"""
+
+
+def test_fork_count_with_negative_tilt(tmp_path):
+    # a reference tilted the other way mirrors the fork, not the charge
+    outdir = tmp_path / "o"
+    assert main(["run", write(tmp_path, FORK_CONFIG), "--out", str(outdir)]) == 0
+    rows = (outdir / "summary.csv").read_text().splitlines()
+    assert rows[1].startswith("interference_fork,fork_count,2,2,")
 
 
 def test_run_numerical_failure_exit_3(tmp_path):
@@ -317,7 +349,7 @@ def test_selftest_reduces_pixel_maps_without_blas(tmp_path, monkeypatch):
 
 # One valid config per scenario (n = 64), which the fuzzer then perturbs.
 FUZZ_BASE = {}
-for _cfg in _selftest_configs(64, 8e-3, 632.8e-9):
+for _cfg in _selftest_configs(64):
     FUZZ_BASE.setdefault(_cfg.name, _cfg.sections)
 
 # None drops the key; a float scales a float base value (or stands alone).

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lightsim import (JonesVector, QPlateSpec, apply_patterned, apply_qplate,
-                      gaussian, jones_state, rotating_waveplate_series,
-                      vector_field)
+from lightsim import (JonesVector, QPlateSpec, apply_qplate, gaussian,
+                      jones_state, rotating_waveplate_series, vector_field)
 from lightsim.analysis import sam_per_photon, topological_charge
 from lightsim.beams import Grid, circular_components
-from lightsim.elements import PatternedRetarder, qplate_alpha0_decomposition
-from lightsim.errors import DimensionMismatch, UndersampledRotation
+from lightsim.elements import qplate_alpha0_decomposition
+from lightsim.errors import UndersampledRotation
 from lightsim.polarization import apply, stokes_of, waveplate
 
 WAVELENGTH = 632.8e-7
@@ -94,36 +93,6 @@ def test_qplate_charge_additivity():
     psi_l, _ = circular_components(out)
     assert topological_charge(psi_l, 1.0) == -2
     assert sam_per_photon(out) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_patterned_matches_qplate():
-    f = make_field()
-    spec = QPlateSpec(1.0, 0.1)
-    _, phi = f.grid.polar()
-    pat = PatternedRetarder(spec.q * phi + spec.alpha0, spec.delta)
-    a = apply_qplate(spec, f)
-    b = apply_patterned(pat, f)
-    np.testing.assert_allclose(b.ex, a.ex, atol=1e-12)
-    np.testing.assert_allclose(b.ey, a.ey, atol=1e-12)
-
-
-def test_patterned_shape_mismatch():
-    f = make_field(n=64)
-    with pytest.raises(DimensionMismatch):
-        apply_patterned(PatternedRetarder(np.zeros((32, 32)), math.pi), f)
-
-
-def test_linear_ramp_pattern_is_polarization_grating():
-    # alpha = kappa x deflects the converted component by phase 2 kappa x
-    f = make_field(kind="L")
-    X, _ = f.grid.coords()
-    kappa = 2.0
-    out = apply_patterned(PatternedRetarder(kappa * X, math.pi), f)
-    psi_l, psi_r = circular_components(out)
-    assert float(np.max(np.abs(psi_l.amp))) < 1e-14
-    residual = psi_r.amp * np.exp(-2j * kappa * X)
-    ref = residual.flat[0] / abs(residual.flat[0])
-    assert float(np.max(np.abs(residual / np.abs(residual) - ref))) < 1e-12
 
 
 def test_rotating_series_needs_uniform_dense_sampling():

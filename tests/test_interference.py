@@ -33,7 +33,7 @@ def test_image_is_normalized():
 def test_plain_gaussian_has_straight_fringes():
     g = make_grid()
     img = interference_image(gaussian(g, 1.0), tilt_for_fringes(10.25))
-    assert fringe_fork_count(img, g.n // 8) == 0
+    assert fringe_fork_count(img) == 0
 
 
 def test_fork_counts_match_charges():
@@ -41,7 +41,7 @@ def test_fork_counts_match_charges():
     tilt = tilt_for_fringes(10.25)
     for l in range(-3, 4):
         img = interference_image(vortex(g, l), tilt)
-        assert fringe_fork_count(img, g.n // 8) == l
+        assert fringe_fork_count(img) == l
 
 
 def test_fork_counts_for_lg_modes():
@@ -49,7 +49,7 @@ def test_fork_counts_for_lg_modes():
     tilt = tilt_for_fringes(10.25)
     for l in (-2, 1, 3):
         img = interference_image(laguerre_gaussian(g, l, 0, 1.0), tilt)
-        assert fringe_fork_count(img, g.n // 8) == l
+        assert fringe_fork_count(img) == l
 
 
 def test_tilt_too_small_raises():
@@ -62,15 +62,6 @@ def test_unresolvable_fringes_raises():
     with pytest.raises(UnresolvableFringes):
         interference_image(gaussian(make_grid(256), 1.0),
                            tilt_for_fringes(80.0))
-
-
-def test_cut_offset_bounds():
-    g = make_grid()
-    img = interference_image(gaussian(g, 1.0), tilt_for_fringes(10.25))
-    with pytest.raises(ValueError):
-        fringe_fork_count(img, 0)
-    with pytest.raises(ValueError):
-        fringe_fork_count(img, g.n // 2)
 
 
 def test_zero_field_rejected():

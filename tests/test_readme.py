@@ -1,5 +1,7 @@
-"""The README's examples run as printed, so it cannot drift from the API."""
+"""The README's examples run as printed, so it cannot drift from the API;
+and the API exports nothing that only its own tests use."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -7,8 +9,8 @@ import pytest
 
 from lightsim.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-    encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def fenced_block(lang):
@@ -30,3 +32,19 @@ def test_example_config_runs(tmp_path):
     config = tmp_path / "config.ini"
     config.write_text(fenced_block("ini"), encoding="utf-8")
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    package = ROOT / "src" / "lightsim"
+    sources = [p.read_text(encoding="utf-8")
+               for p in [*package.glob("*.py"), *(ROOT / "demos").glob("*.py")]
+               if p.name != "__init__.py"]
+    used = set()
+    for tree in map(ast.parse, [*sources, fenced_block("python")]):
+        used.update(node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.Attribute)))
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(exported - used) == []
