@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import overlap, sum_abs2
+from .beams import _dot, sum_abs2
 from .constants import C_LIGHT, H_PLANCK
 from .errors import (LoopThroughZero, NonpositiveFrequency, RadiusOutOfGrid,
                      ZeroEnergy, ZeroField)
@@ -35,12 +35,13 @@ def sam_per_photon(f):
     """Intensity-weighted spin helicity: sum(s3)/sum(s0), in [-1, 1].
 
     sum(s3) = 2 Im<ex|ey> and sum(s0) = <ex|ex> + <ey|ey>, so no Stokes
-    map is built.
+    map is built; Im<ex|ey> is summed alone, as `overlap` sums it.
     """
     total = sum_abs2(f.ex) + sum_abs2(f.ey)
     if total <= 0.0:
         raise ZeroField("SAM undefined for a zero-power field")
-    return 2.0 * overlap(f.ex, f.ey).imag / total
+    ar, ai, br, bi = f.ex.real, f.ex.imag, f.ey.real, f.ey.imag
+    return 2.0 * float(_dot(ar, bi) - _dot(ai, br)) / total
 
 
 # Sixth-order centered first derivative, in units of 1/pitch:

@@ -69,8 +69,9 @@ def solid_angle(path):
 
     Computed as the sum of signed spherical excesses of geodesic triangles
     fanned from the path's mean direction (or its circulation normal when
-    the mean degenerates, which disambiguates great circles).  Multi-turn
-    paths accumulate 4 pi per wrap.  Excesses use the Van Oosterom &
+    the mean degenerates, which disambiguates great circles).  A path that
+    winds w times round a loop encloses w times the loop's solid angle:
+    each wrap adds the loop's own.  Excesses use the Van Oosterom &
     Strackee (1983) form 2 atan2(a.(b x c), 1 + a.b + b.c + c.a).
     """
     pts = path.points

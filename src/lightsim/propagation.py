@@ -4,7 +4,10 @@ Each component of a field (the amplitude of a scalar field, ex and ey of a
 vector field) is decomposed into plane waves with the FFT, advanced with
 the exact transfer phase exp(i z sqrt(k^2 - kx^2 - ky^2)) and transformed
 back; evanescent components (kx^2 + ky^2 > k^2) are zeroed, which is the
-physical choice for forward propagation.  Treating ex and ey alike
+physical choice for forward propagation.  The transfer phase depends on
+kx^2 and ky^2 alone, so it is computed on one quadrant of the FFT grid
+(frequency indices 0...n/2) and applied to the four quarters of the
+spectrum through mirrored views.  Treating ex and ey alike
 neglects the longitudinal field, a paraxial approximation.  The far-field
 transform is a single Fraunhofer step whose output grid carries angular
 coordinates with pitch lambda / (n * pitch).
@@ -36,9 +39,11 @@ def _check_edges(amp, where):
 
 
 def _kz(grid):
-    """k_z = sqrt(k^2 - kx^2 - ky^2) on the FFT grid, 0 where it is not
-    real, and the mask of those evanescent frequencies."""
-    fx = np.fft.fftfreq(grid.n, d=grid.pitch)
+    """k_z = sqrt(k^2 - kx^2 - ky^2) on the FFT frequency indices 0...n/2
+    of both axes, 0 where it is not real, and the mask of those evanescent
+    frequencies.  Index k and index n - k square to the same kx^2, so this
+    (n/2 + 1)^2 block holds k_z of the whole FFT grid."""
+    fx = np.fft.fftfreq(grid.n, d=grid.pitch)[:grid.n // 2 + 1]
     kx = 2.0 * math.pi * fx
     kx2 = kx[None, :] ** 2 + kx[:, None] ** 2
     kz2 = grid.k ** 2 - kx2
@@ -71,11 +76,21 @@ def propagations(field, zs):
 def _advance(spec, kz, evanescent, z):
     """Inverse FFT of a spectrum times the transfer function, which is
     exp(i z k_z) on the propagating frequencies and 0 on the evanescent
-    ones."""
+    ones.  The transfer function is computed on the block of `_kz`, and
+    each quarter of the spectrum is multiplied by a view of it: rows and
+    columns past n/2 read the block at n - k."""
     h = 1j * z * kz
     np.exp(h, out=h)
     h[evanescent] = 0.0
-    amp = np.fft.ifft2(np.multiply(spec, h, out=h))
+    half = len(h) - 1
+    parts = ((slice(None, half + 1), slice(None)),
+             (slice(half + 1, None), slice(half - 1, 0, -1)))
+    prod = np.empty_like(spec)
+    for rows, hrows in parts:
+        for cols, hcols in parts:
+            np.multiply(spec[rows, cols], h[hrows, hcols],
+                        out=prod[rows, cols])
+    amp = np.fft.ifft2(prod)
     _check_edges(amp, "output")
     return amp
 

@@ -222,15 +222,18 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
 def _scenario_generalized_charge(cfg, outdir, rng):
     base = build_beam(cfg)
     loop_radius = beam_waist(cfg["beam"])
+    # (input hand, sign of the charge, field), built once; each output
+    # field lives only inside the one expression that reads its charge
+    inputs = [(kind, sign, beams.vector_field(base, jones_state(kind)))
+              for kind, sign in (("L", 1.0), ("R", -1.0))]
     rows = []
     for two_q in (-4, -2, -1, 1, 2, 4):
         spec = elements.QPlateSpec(two_q / 2.0)
-        for kind, sign in (("L", 1.0), ("R", -1.0)):
-            field = beams.vector_field(base, jones_state(kind))
-            out = elements.apply_qplate(spec, field)
-            converted = beams.circular_component(out,
-                                                 "R" if sign > 0 else "L")
-            charge = analysis.topological_charge(converted, loop_radius)
+        for kind, sign, field in inputs:
+            charge = analysis.topological_charge(
+                beams.circular_component(elements.apply_qplate(spec, field),
+                                         "R" if sign > 0 else "L"),
+                loop_radius)
             rows.append(SummaryRow(
                 cfg.name, f"charge_2q={two_q}_{kind}",
                 charge, sign * two_q, 0.0))

@@ -93,9 +93,10 @@ def test_srp_rejects_other_helicities():
 
 
 def test_qplate_k_path_multi_turn():
-    # |q| turns accumulate 4 pi per extra wrap
-    assert solid_angle(qplate_k_path(2.0)) == pytest.approx(4.0 * math.pi,
-                                                            abs=1e-5)
+    # each of the q turns adds the great circle's own 2 pi
+    for q in (1.0, 2.0, 3.0):
+        assert solid_angle(qplate_k_path(q)) == pytest.approx(
+            2.0 * math.pi * q, abs=1e-5)
     # a single great circle encloses 2 pi whichever way it is traversed
     # (the two orientations differ by 4 pi, i.e. the full sphere)
     assert solid_angle(qplate_k_path(-1.0)) == pytest.approx(2.0 * math.pi,

@@ -4,7 +4,10 @@ Each reference below is the straightforward full-grid or per-element form
 (full-grid spline sampling, complex centered derivatives, arctan2 phases,
 a per-triangle loop, the Stokes map, the waveplate closed form, per-pixel
 and per-sample Jones calculus, the sum of squared magnitudes); the
-library's kernels must agree with it to roundoff.  scipy, which the
+library's kernels must agree with it to roundoff.  The kernels built on
+one quadrant of the grid and mirrored (vortex phases, Gaussian and LG
+modes, the angular-spectrum transfer phase) must agree with their
+full-grid formulas bit for bit, signed zeros included.  scipy, which the
 library does not import, is the reference for its numpy replacements of
 find_peaks, eval_genlaguerre, correlate1d and map_coordinates.
 """
@@ -28,11 +31,12 @@ import lightsim
 from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       VectorField, apply, circle_path, gaussian,
                       geodesic_path, jones_state, laguerre_gaussian,
-                      oam_per_photon, propagations, rotating_waveplate_series,
-                      sam_per_photon, solid_angle, stokes_of, vector_field,
-                      waveplate)
+                      oam_per_photon, propagate, propagations,
+                      rotating_waveplate_series, sam_per_photon, solid_angle,
+                      stokes_of, vector_field, waveplate)
 from lightsim.analysis import CROP_MARGIN, _oam_scalar_sums, _sample_circle
-from lightsim.beams import _genlaguerre, overlap, sum_abs2
+from lightsim.beams import (_genlaguerre, _unfold, azimuthal_phase, overlap,
+                            sum_abs2)
 from lightsim.elements import apply_qplate, qplate_alpha0_decomposition
 from lightsim.geomphase import _fan_apex
 from lightsim.imageio import write_stokes_ppm
@@ -47,6 +51,13 @@ def make_grid(n=256, window=8.0):
 
 
 # --- references ---
+
+def same_bits(got, ref):
+    """Equal dtype, shape and bit patterns: unlike np.array_equal, -0.0
+    differs from 0.0."""
+    return (got.dtype == ref.dtype and got.shape == ref.shape
+            and np.array_equal(got.view(np.uint64), ref.view(np.uint64)))
+
 
 def sample_circle_full(grid, arr, radius, samples, order=3):
     theta = 2.0 * math.pi * np.arange(samples) / samples
@@ -127,6 +138,36 @@ def propagate_masked_transfer(amp, grid, z):
     h = np.zeros(kz2.shape, dtype=complex)
     h[prop] = np.exp(1j * z * np.sqrt(kz2[prop]))
     return np.fft.ifft2(np.fft.fft2(amp) * h)
+
+
+def azimuthal_phase_full(grid, m, scale=None):
+    """((x + i sgn(m) y)/r)^|m|, or ((x + i sgn(m) y) scale)^|m|, on the
+    full grid."""
+    if m == 0:
+        return np.ones((grid.n, grid.n), dtype=complex)
+    x = grid.axis()
+    z = x[None, :] + (1j if m > 0 else -1j) * x[:, None]
+    if scale is None:
+        z /= np.abs(z)
+    else:
+        z *= scale
+    return z ** abs(m)
+
+
+def gaussian_full(grid, w0):
+    X, Y = grid.coords()
+    return np.exp(-(X ** 2 + Y ** 2) / w0 ** 2)
+
+
+def laguerre_gaussian_full(grid, l, p, w0):
+    x2 = (grid.axis() / w0) ** 2
+    r2 = x2[None, :] + x2[:, None]
+    al = abs(l)
+    norm = math.sqrt(2.0 * math.factorial(p)
+                     / (math.pi * math.factorial(p + al))) / w0
+    return (norm * azimuthal_phase_full(grid, l, math.sqrt(2.0) / w0)
+            * _genlaguerre(p, al, 2.0 * r2)
+            * np.exp(-r2))
 
 
 def waveplate_closed_form(delta, alpha):
@@ -378,8 +419,12 @@ def random_vector_field(n, seed, scale=1.0):
 def test_sam_matches_stokes_map_sums(n, seed, scale):
     f = random_vector_field(n, seed, scale)
     s0, _, _, s3 = stokes_map(f.ex, f.ey)
-    assert sam_per_photon(f) == pytest.approx(
-        float(np.sum(s3)) / float(np.sum(s0)), abs=1e-12)
+    sam = sam_per_photon(f)
+    assert sam == pytest.approx(float(np.sum(s3)) / float(np.sum(s0)),
+                                abs=1e-12)
+    # the imaginary part alone is summed as overlap sums it
+    total = sum_abs2(f.ex) + sum_abs2(f.ey)
+    assert sam == 2.0 * overlap(f.ex, f.ey).imag / total
 
 
 def test_stokes_field_matches_stokes_of_per_pixel():
@@ -485,7 +530,93 @@ def test_propagation_matches_masked_transfer(pitch):
     # Gaussian's spectrum there is ~1e-13 of its peak, not zero
     g = Grid(64, pitch, 1.0)
     s = gaussian(g, 1.7 * pitch / 0.4)
-    zs = (0.0, 1.25 * pitch, 0.625 * pitch)
+    zs = (0.0, 1e-6, 1.25 * pitch, 0.625 * pitch, 1.7)
     for z, out in zip(zs, propagations(s, zs)):
-        np.testing.assert_array_equal(out.amp,
-                                      propagate_masked_transfer(s.amp, g, z))
+        assert same_bits(out.amp, propagate_masked_transfer(s.amp, g, z))
+
+
+# --- quadrant kernels, mirrored ---
+
+even_n = st.integers(16, 256).map(lambda k: 2 * k)
+waisted_n = st.integers(17, 256).map(lambda k: 2 * k)  # n = 32 has no waist
+
+
+def waist(grid, frac):
+    """A waist `frac` of the way through the valid (4 pitch, window/8]."""
+    lo = 4.0 * grid.pitch
+    return max(lo + frac * (grid.window / 8.0 - lo), np.nextafter(lo, np.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=even_n, m=st.integers(-10, 10),
+       scale=st.one_of(st.none(), st.floats(1e-3, 1e3)))
+@example(n=64, m=8, scale=None)     # signed zeros on the diagonals
+@example(n=64, m=-8, scale=0.5)
+@example(n=32, m=0, scale=None)
+def test_azimuthal_phase_matches_full_grid_bits(n, m, scale):
+    g = make_grid(n)
+    assert same_bits(azimuthal_phase(g, m, scale),
+                     azimuthal_phase_full(g, m, scale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=waisted_n, l=st.integers(-10, 10), p=st.integers(0, 5),
+       frac=st.floats(0.0, 1.0))
+@example(n=64, l=0, p=1, frac=0.5)
+@example(n=256, l=-3, p=1, frac=0.085)  # exp(-r^2) underflows in the corners
+@example(n=512, l=4, p=2, frac=0.0)     # and on most of the grid
+@example(n=512, l=-3, p=0, frac=0.0)
+def test_lg_and_gaussian_match_full_grid_bits(n, l, p, frac):
+    g = make_grid(n)
+    w0 = waist(g, frac)
+    assert same_bits(laguerre_gaussian(g, l, p, w0).amp,
+                     laguerre_gaussian_full(g, l, p, w0))
+    assert same_bits(gaussian(g, w0).amp, gaussian_full(g, w0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(17, 128).map(lambda k: 2 * k),
+       z=st.one_of(st.sampled_from([0.0, 1e-6, 1.7]), st.floats(0.0, 3.0)))
+def test_propagation_matches_masked_transfer_bits(n, z):
+    g = Grid(n, 8e-3 / n, 632.8e-9)
+    s = laguerre_gaussian(g, 2, 0, 1e-3)
+    assert same_bits(propagate(s, z).amp,
+                     propagate_masked_transfer(s.amp, g, z))
+
+
+def test_quadrant_kernels_match_full_grid_bits_at_2048():
+    g = make_grid(2048)
+    for m, scale in ((8, None), (-3, 0.7)):
+        assert same_bits(azimuthal_phase(g, m, scale),
+                         azimuthal_phase_full(g, m, scale)), (m, scale)
+    for l, p in ((0, 0), (2, 1)):
+        assert same_bits(laguerre_gaussian(g, l, p, 0.5).amp,
+                         laguerre_gaussian_full(g, l, p, 0.5)), (l, p)
+    assert same_bits(gaussian(g, 1.0).amp, gaussian_full(g, 1.0))
+    s = gaussian(Grid(2048, 8e-3 / 2048, 632.8e-9), 1e-3)
+    assert same_bits(propagate(s, 1.7).amp,
+                     propagate_masked_transfer(s.amp, s.grid, 1.7))
+
+
+def unfolded(ref, m):
+    """`_unfold` of the quadrant x, y > 0 of `ref`."""
+    h = len(ref) // 2
+    out = np.zeros_like(ref)
+    out[h:, h:] = ref[h:, h:]
+    _unfold(out, m)
+    return out
+
+
+def test_a_flipped_mirror_sign_is_caught():
+    g = make_grid(64)
+    for m in (1, 2, -3):
+        ref = azimuthal_phase_full(g, m)
+        assert same_bits(unfolded(ref, m), ref)
+        assert not np.array_equal(unfolded(ref, m + 1), ref)  # x -> -x parity
+        assert not np.array_equal(unfolded(ref, 0), ref)      # y -> -y conj
+    # on the anti-diagonal of m = 8 conjugation alone gives -0.0 where the
+    # formula gives +0.0, which only a bitwise comparison sees
+    ref = azimuthal_phase_full(g, 8)
+    assert np.array_equal(unfolded(ref, 8), ref)
+    assert not same_bits(unfolded(ref, 8), ref)
+    assert same_bits(azimuthal_phase(g, 8), ref)
