@@ -161,8 +161,8 @@ def _mirrored(f, grid, m):
     the arithmetic, not the symmetry, so the mirror pixels of a quadrant
     pixel with a zero part are evaluated (the diagonal of an even charge,
     corners where exp(-r^2) underflows).  Where such pixels are more than
-    1/64 of the quadrant (a waist of a few pixels), the other three
-    quadrants are evaluated instead.
+    1/64 of the quadrant (a waist of a few pixels), f is evaluated on the
+    whole grid instead.
     """
     n, h = grid.n, grid.n // 2
     axis = grid.axis()
@@ -180,20 +180,13 @@ def _mirrored(f, grid, m):
                          + r * h)
     zeros = np.concatenate(zeros)
     if len(zeros) * 64 > h * h:
-        for r in range(0, h, step):
-            y = x[r:r + step, None]
-            below = slice(h + r, h + r + len(y))
-            above = slice(h - r - len(y), h - r)
-            out[below, :h] = f(axis[None, :h], y)
-            out[above, h:] = f(x[None, :], -y)[::-1]
-            out[above, :h] = f(axis[None, :h], -y)[::-1]
-    else:
-        _unfold(out, m)
-        if len(zeros):
-            a, b = np.divmod(zeros, h)
-            rows = np.concatenate([h - 1 - a, h + a, h - 1 - a])
-            cols = np.concatenate([h + b, h - 1 - b, h - 1 - b])
-            out[rows, cols] = f(axis[cols], axis[rows])
+        return f(axis[None, :], axis[:, None])
+    _unfold(out, m)
+    if len(zeros):
+        a, b = np.divmod(zeros, h)
+        rows = np.concatenate([h - 1 - a, h + a, h - 1 - a])
+        cols = np.concatenate([h + b, h - 1 - b, h - 1 - b])
+        out[rows, cols] = f(axis[cols], axis[rows])
     return out
 
 
