@@ -6,20 +6,17 @@ Subcommands:
 * ``lightsim list-scenarios``     print the scenario catalog
 * ``lightsim selftest``           run the whole catalog on a reduced grid
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-check failure.
+Exit codes: 0 success, 2 configuration error or unwritable output, 3
+numerical-check failure, which includes a scenario that stops on a numerical
+error: ``run`` and ``selftest`` record it as an ``error[<ErrorClass>]`` row.
 """
 
 import argparse
 import sys
-from pathlib import Path
 
 from .config import load_config
-from .errors import ConfigError, LightsimError
+from .errors import ConfigError
 from .scenarios import run_scenario, scenario_schemas, selftest
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
 
 
 def build_parser():
@@ -54,12 +51,12 @@ def main(argv=None):
         if args.command == "list-scenarios":
             for name in sorted(scenario_schemas()):
                 print(name)
-            return EXIT_OK
+            return 0
         if args.command == "selftest":
             return selftest(args.out, seed=args.seed, grid_n=args.grid_n)
         cfg = load_config(args.config, scenario_schemas())
         outdir = args.out or cfg["output"].get("directory") \
-            or Path("out") / cfg.name
+            or f"out/{cfg.name}"
         code, rows = run_scenario(cfg, outdir, seed=args.seed,
                                   grid_n=args.grid_n)
         for row in rows:
@@ -69,10 +66,7 @@ def main(argv=None):
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except LightsimError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return 2
 
 
 if __name__ == "__main__":

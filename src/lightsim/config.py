@@ -196,7 +196,7 @@ def load_config(path, scenario_schemas):
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -7,7 +7,9 @@ reduced grid.
 """
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -455,34 +457,57 @@ def scenario_schemas():
     return {name: schemas for name, (schemas, _) in SCENARIOS.items()}
 
 
-SUMMARY_HEADER = ["scenario", "quantity", "value", "expected", "tolerance",
-                  "status"]
+def execute(cfg, outdir, rng, log=print):
+    """Validate one scenario config and run it; returns its summary rows.
+
+    The one per-config path of `run_scenario` and `selftest`.  A
+    ConfigError propagates; any other LightsimError becomes one failing row,
+    `error[<class name>]`, logged as `ERROR <scenario>: <class>: <message>`.
+    """
+    schemas, runner = SCENARIOS[cfg.name]
+    cfg = validate(cfg.name, cfg.sections, schemas)
+    try:
+        return runner(cfg, outdir, rng)
+    except ConfigError:
+        raise
+    except LightsimError as exc:
+        error = type(exc).__name__
+        log(f"ERROR {cfg.name}: {error}: {exc}")
+        return [SummaryRow(cfg.name, f"error[{error}]", 1.0, 0.0, 0.0)]
 
 
-def write_summary(path, rows):
-    write_csv(path, SUMMARY_HEADER,
-              [(r.scenario, r.quantity, r.value, r.expected, r.tolerance,
-                r.status) for r in rows])
+@contextmanager
+def _output(outdir):
+    """Create outdir; an OSError while writing into it is a ConfigError."""
+    outdir = Path(outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        yield outdir
+    except OSError as exc:
+        raise ConfigError(f"cannot write {outdir}: {exc}") from None
+
+
+def _summarize(outdir, rows):
+    """Write rows to outdir/summary.csv; returns the exit code, 0 when every
+    row passes and 3 otherwise."""
+    header = [f.name for f in fields(SummaryRow)] + ["status"]
+    write_csv(outdir / "summary.csv", header,
+              [[getattr(r, h) for h in header] for r in rows])
+    return 0 if all(r.ok for r in rows) else 3
 
 
 def run_scenario(cfg, outdir, seed=0, grid_n=None):
     """Execute one scenario; writes summary.csv and images into outdir.
 
-    Validates cfg after `grid_n` replaces its [grid] n.  Returns (exit_code,
-    rows): 0 on success, 3 when any checked quantity exceeds its tolerance.
+    `grid_n` replaces the config's [grid] n.  Returns (exit_code, rows).
     """
-    schemas, runner = SCENARIOS[cfg.name]
     sections = cfg.sections
     if grid_n is not None and "grid" in sections:
         sections = {**sections, "grid": {**sections["grid"], "n": grid_n}}
-    cfg = validate(cfg.name, sections, schemas)
-    rng = np.random.default_rng(seed)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = runner(cfg, outdir, rng)
-    write_summary(outdir / "summary.csv", rows)
-    code = 0 if all(r.ok for r in rows) else 3
-    return code, rows
+    with _output(outdir) as outdir:
+        rows = execute(ScenarioConfig(cfg.name, sections), outdir,
+                       np.random.default_rng(seed))
+        return _summarize(outdir, rows), rows
 
 
 # ---------------------------------------------------------------------------
@@ -547,37 +572,16 @@ def selftest(outdir, seed=0, grid_n=256, verbose=print):
 
     Writes one aggregated summary.csv (rows sorted by scenario name,
     insertion-stable within a scenario) and prints a pass/fail line per
-    scenario group.  A config that raises a LightsimError other than a
-    ConfigError becomes one failing row, `error[<class name>]`, and the
-    others still run.  Returns 0 when everything passes, 3 otherwise.
+    scenario group.  A config that stops on a numerical error becomes one
+    failing row (see `execute`); the others still run.  Returns the exit code.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    configs = [validate(c.name, c.sections, SCENARIOS[c.name][0])
-               for c in _selftest_configs(grid_n)]
-    all_rows = []
-    failed = False
-    for cfg in configs:
-        _, runner = SCENARIOS[cfg.name]
-        try:
-            all_rows.extend(runner(cfg, None, rng))
-        except ConfigError:
-            raise  # a bad input for every config: exit 2, not a failed row
-        except LightsimError as exc:
-            error = type(exc).__name__
-            verbose(f"ERROR {cfg.name}: {error}: {exc}")
-            all_rows.append(SummaryRow(cfg.name, f"error[{error}]",
-                                       1.0, 0.0, 0.0))
-    all_rows.sort(key=lambda r: r.scenario)
-    by_scenario = {}
-    for row in all_rows:
-        by_scenario.setdefault(row.scenario, []).append(row)
-    for name in sorted(by_scenario):
-        rows = by_scenario[name]
-        ok = all(r.ok for r in rows)
-        failed = failed or not ok
-        verbose(f"{'PASS' if ok else 'FAIL'} {name} "
-                f"({sum(r.ok for r in rows)}/{len(rows)} checks)")
-    write_summary(outdir / "summary.csv", all_rows)
-    return 3 if failed else 0
+    with _output(outdir) as outdir:
+        rows = sorted((row for cfg in _selftest_configs(grid_n)
+                       for row in execute(cfg, None, rng, verbose)),
+                      key=lambda r: r.scenario)
+        for name, group in groupby(rows, key=lambda r: r.scenario):
+            oks = [r.ok for r in group]
+            verbose(f"{'PASS' if all(oks) else 'FAIL'} {name} "
+                    f"({sum(oks)}/{len(oks)} checks)")
+        return _summarize(outdir, rows)

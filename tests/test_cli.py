@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightsim.cli import main
@@ -99,6 +99,13 @@ def test_bad_number_rejected(tmp_path):
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.ini"), scenario_schemas())
+
+
+def test_undecodable_file_is_config_error(tmp_path):
+    path = tmp_path / "utf16.ini"
+    path.write_bytes(b"\xff\xfe" + QPLATE_CONFIG.encode("utf-16-le"))
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(str(path), scenario_schemas())
 
 
 # --- CLI ---
@@ -196,21 +203,35 @@ z_list = 1, 2
     (QPLATE_CONFIG.replace("delta = pi", "delta = 1.0"), []),
     (QPLATE_CONFIG.replace("qplate_conversion", "rotating_qplate").replace(
         "delta = pi", "delta = pi/2") + "\n[rotation]\nomega = 1\n", []),
+    (QPLATE_CONFIG, ["--out", "{file}"]),
+    (None, ["--out", "{file}/x"]),
+    (QPLATE_CONFIG + "\n[output]\ndirectory = {file}\n", []),
 ], ids=["gaussian-no-w0", "elliptical-no-wy", "unknown-kind", "lg-no-w0",
         "lg_oam-elliptical", "lg_oam-l", "lg_oam-p", "periods-0",
         "periods-negative", "undersampled", "q-not-half-integer", "q-nan",
         "delta-inf", "z-negative", "nu-nan", "omega-nan",
         "wavelength-negative", "n-odd", "run-grid-n-odd",
         "selftest-grid-n-30", "q-charge-above-max-l", "q-huge",
-        "polarization-linear", "delta-not-pi", "rotating-quarter-wave"])
+        "polarization-linear", "delta-not-pi", "rotating-quarter-wave",
+        "run-out-is-a-file", "selftest-out-under-a-file",
+        "output-directory-is-a-file"])
 def test_run_domain_error_exit_2(tmp_path, capsys, text, args):
-    out = ["--out", str(tmp_path / "o")]
+    # "{file}" stands for an existing file; a case that names it sets its
+    # own output path, which cannot be written
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    unwritable = "{file}" in (text or "") + " ".join(args)
+    out = [] if unwritable else ["--out", str(tmp_path / "o")]
+    args = [a.replace("{file}", str(a_file)) for a in args]
     if text is None:
         argv = ["selftest"] + out + args
     else:
+        text = text.replace("{file}", str(a_file))
         argv = ["run", write(tmp_path, text)] + out + args
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert ("cannot write" in err) == unwritable
 
 
 FORK_CONFIG = """\
@@ -249,13 +270,28 @@ def test_run_numerical_failure_exit_3(tmp_path):
 
 def test_run_invalid_runtime_value_exit_3(tmp_path, capsys):
     # valid configs that break a limit of the library found while running:
-    # the waist against the sampling bounds, the mode index, the frequency
-    for text in (QPLATE_CONFIG.replace("w0 = 1e-3", "w0 = 5e-3"),
-                 QPLATE_CONFIG.replace("kind = gaussian", "kind = lg\nl = 99"),
-                 PHOTON_CONFIG.replace("nu = 5e14", "nu = -1")):
+    # the waist against the sampling bounds, the mode index, the frequency.
+    # Each stop is logged and becomes one failing row of summary.csv.
+    for text, scenario, error in (
+            (QPLATE_CONFIG.replace("w0 = 1e-3", "w0 = 5e-3"),
+             "qplate_conversion", "WaistOutOfRange"),
+            (QPLATE_CONFIG.replace("kind = gaussian", "kind = lg\nl = 99"),
+             "qplate_conversion", "IndexOutOfRange"),
+            (PHOTON_CONFIG.replace("nu = 5e14", "nu = -1"),
+             "photon_partition", "NonpositiveFrequency")):
+        outdir = tmp_path / error
         assert main(["run", write(tmp_path, text),
-                     "--out", str(tmp_path / "o")]) == 3
-        assert "numerical error" in capsys.readouterr().err
+                     "--out", str(outdir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed = captured.out.splitlines()
+        assert printed[0].startswith(f"ERROR {scenario}: {error}: ")
+        assert printed[1:] == [
+            f"FAIL {scenario}.error[{error}]: 1 (expected 0 tol 0)"]
+        rows = (outdir / "summary.csv").read_text().splitlines()
+        assert rows[1:] == [
+            f"{scenario},error[{error}],1.0000000000000000e+00,"
+            "0.0000000000000000e+00,0.0000000000000000e+00,fail"]
 
 
 def test_summary_csv_format(tmp_path):
@@ -363,6 +399,16 @@ FUZZ_VALUES = st.one_of(
 )
 
 
+def ini_text(name, sections):
+    lines = [f"[scenario]\nname = {name}"]
+    for section, keys in sections.items():
+        lines.append(f"[{section}]")
+        for k, v in keys.items():
+            text = ", ".join(map(str, v)) if isinstance(v, list) else v
+            lines.append(f"{k} = {text}")
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def fuzzed_configs(draw):
     name = draw(st.sampled_from(sorted(SCENARIOS)))
@@ -379,14 +425,8 @@ def fuzzed_configs(draw):
             keys[key] *= value
         else:
             keys[key] = value
-    lines = [f"[scenario]\nname = {name}"]
-    for section, keys in sections.items():
-        lines.append(f"[{section}]")
-        for k, v in keys.items():
-            text = ", ".join(map(str, v)) if isinstance(v, list) else v
-            lines.append(f"{k} = {text}")
     grid_n = draw(st.one_of(st.none(), st.integers(-2, 64)))
-    return "\n".join(lines) + "\n", grid_n
+    return ini_text(name, sections), grid_n
 
 
 @settings(max_examples=200, deadline=None)
@@ -399,4 +439,29 @@ def test_fuzzed_configs_keep_the_exit_code_contract(config):
         argv = ["run", str(ini), "--out", str(Path(tmp) / "o")]
         if grid_n is not None:
             argv += ["--grid-n", str(grid_n)]
+        assert main(argv) in (0, 2, 3)
+
+
+@st.composite
+def mutated_configs(draw):
+    """The INI text of a FUZZ_BASE config with a few bytes replaced,
+    inserted or deleted."""
+    name = draw(st.sampled_from(sorted(FUZZ_BASE)))
+    data = bytearray(ini_text(name, FUZZ_BASE[name]).encode("utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        data[i:i + draw(st.integers(0, 1))] = draw(st.binary(max_size=1))
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64), mutated_configs()))
+@example(data=b"\xff\xfe")
+def test_config_bytes_keep_the_exit_code_contract(data):
+    # --grid-n 64 keeps a mutated grid size from slowing the run down
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "fuzz.ini"
+        ini.write_bytes(data)
+        argv = ["run", str(ini), "--out", str(Path(tmp) / "o"),
+                "--grid-n", "64"]
         assert main(argv) in (0, 2, 3)

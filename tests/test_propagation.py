@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightsim import (Grid, ScalarField, elliptical_gaussian, far_field,
                       gaussian, jones_state, laguerre_gaussian, oam_per_photon,
                       propagate, propagations, second_moment_widths,
                       stability_metrics, topological_charge, vector_field)
+from lightsim.beams import MAX_L, MAX_P
 from lightsim.errors import WindowTooSmall
+from lightsim.scenarios import build_scalar_beam
 
 WAVELENGTH = 632.8e-7  # cm
 
@@ -164,3 +168,37 @@ def test_stability_metrics_records():
         assert r["charge"] == -1
         assert r["oam"] == pytest.approx(-1.0, abs=2e-3)
         assert r["width_x"] > 0.0 and r["width_y"] > 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["gaussian", "elliptical", "lg", "vortex"]),
+       n=st.sampled_from([64, 128, 256]),
+       waists=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+       tilt=st.floats(0.0, math.pi),
+       l=st.integers(-MAX_L, MAX_L), p=st.integers(0, MAX_P),
+       reach=st.floats(0.0, 2.0))
+def test_propagated_beams_are_band_limited(kind, n, waists, tilt, l, p,
+                                           reach):
+    # The sampled transfer phase holds below the angular-spectrum band
+    # limit 1 / (lambda sqrt((2 df z)^2 + 1)) per axis, df = 1 / window
+    # (Matsushima & Shimobaba, Opt. Express 17, 19662, 2009).  Both it and
+    # the edge check say that the spread lambda z f fits in the window, so
+    # whenever propagate returns the power beyond the limit is negligible.
+    grid = make_grid(n)
+    lo, hi = 4.0 * grid.pitch, grid.window / 8.0
+    w0, w1 = (lo + t * (hi - lo) for t in waists)
+    beam = build_scalar_beam(grid, {"kind": kind, "w0": w0, "wx": w0,
+                                    "wy": w1, "tilt": tilt, "l": l, "p": p})
+    # up to twice the distance at which a Gaussian of the smaller waist
+    # grows to a fifth of the window, about where the edge check refuses
+    w = min(w0, w1) if kind == "elliptical" else w0
+    z = reach * rayleigh(w) * math.sqrt((0.2 * grid.window / w) ** 2 - 1.0)
+    try:
+        propagate(beam, z)
+    except WindowTooSmall:
+        return
+    power = np.abs(np.fft.fft2(beam.amp)) ** 2
+    f = np.abs(np.fft.fftfreq(n, d=grid.pitch))
+    limit = 1.0 / (WAVELENGTH * math.hypot(2.0 * z / grid.window, 1.0))
+    beyond = (f[None, :] > limit) | (f[:, None] > limit)
+    assert power[beyond].sum() <= 1e-6 * power.sum()
