@@ -12,6 +12,7 @@ error: ``run`` and ``selftest`` record it as an ``error[<ErrorClass>]`` row.
 """
 
 import argparse
+import os
 import sys
 
 from .config import load_config
@@ -47,26 +48,32 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    lines = []  # printed once the command has its exit code
     try:
         if args.command == "list-scenarios":
-            for name in sorted(scenario_schemas()):
-                print(name)
-            return 0
-        if args.command == "selftest":
-            return selftest(args.out, seed=args.seed, grid_n=args.grid_n)
-        cfg = load_config(args.config, scenario_schemas())
-        outdir = args.out or cfg["output"].get("directory") \
-            or f"out/{cfg.name}"
-        code, rows = run_scenario(cfg, outdir, seed=args.seed,
-                                  grid_n=args.grid_n)
-        for row in rows:
-            print(f"{row.status.upper():4s} {row.scenario}.{row.quantity}: "
-                  f"{row.value:.6g} (expected {row.expected:.6g} "
-                  f"tol {row.tolerance:.3g})")
-        return code
+            code, lines = 0, sorted(scenario_schemas())
+        elif args.command == "selftest":
+            code = selftest(args.out, seed=args.seed, grid_n=args.grid_n,
+                            verbose=lines.append)
+        else:
+            cfg = load_config(args.config, scenario_schemas())
+            outdir = args.out or cfg["output"].get("directory") \
+                or f"out/{cfg.name}"
+            code, rows = run_scenario(cfg, outdir, seed=args.seed,
+                                      grid_n=args.grid_n, log=lines.append)
+            lines += [f"{r.status.upper():4s} {r.scenario}.{r.quantity}: "
+                      f"{r.value:.6g} (expected {r.expected:.6g} "
+                      f"tol {r.tolerance:.3g})" for r in rows]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    try:
+        print("".join(f"{line}\n" for line in lines), end="", flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit does not raise again (the recipe in the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

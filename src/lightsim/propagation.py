@@ -7,7 +7,9 @@ back; evanescent components (kx^2 + ky^2 > k^2) are zeroed, which is the
 physical choice for forward propagation.  The transfer phase depends on
 kx^2 and ky^2 alone, so it is computed on one quadrant of the FFT grid
 (frequency indices 0...n/2) and applied to the four quarters of the
-spectrum through mirrored views.  Treating ex and ey alike
+spectrum through mirrored views.  Each component is transformed forward
+once per beam, whatever the number of distances, and both transforms run
+in place as the two 1-D passes of `fft2`/`ifft2`.  Treating ex and ey alike
 neglects the longitudinal field, a paraxial approximation.  The far-field
 transform is a single Fraunhofer step whose output grid carries angular
 coordinates with pitch lambda / (n * pitch).
@@ -66,7 +68,9 @@ def propagations(field, zs):
     for amp in field.components:
         _check_edges(amp, "input")
     grid, make = field.grid, type(field)
-    specs = [np.fft.fft2(amp) for amp in field.components]
+    specs = [np.fft.fft(amp, axis=1) for amp in field.components]
+    for spec in specs:
+        np.fft.fft(spec, axis=0, out=spec)
     kz, evanescent = _kz(grid)
     for z in zs:
         yield make(grid,
@@ -90,9 +94,10 @@ def _advance(spec, kz, evanescent, z):
         for cols, hcols in parts:
             np.multiply(spec[rows, cols], h[hrows, hcols],
                         out=prod[rows, cols])
-    amp = np.fft.ifft2(prod)
-    _check_edges(amp, "output")
-    return amp
+    np.fft.ifft(prod, axis=1, out=prod)
+    np.fft.ifft(prod, axis=0, out=prod)
+    _check_edges(prod, "output")
+    return prod
 
 
 def propagate(field, z):
@@ -139,7 +144,8 @@ def second_moment_widths(s):
     total intensity over all components."""
     inten = sum(np.abs(c) ** 2 for c in s.components)
     total = float(inten.sum())
-    X, Y = s.grid.coords()
+    x = s.grid.axis()
+    X, Y = x[None, :], x[:, None]  # broadcast, not a meshgrid
     xm = float((inten * X).sum()) / total
     ym = float((inten * Y).sum()) / total
     xx = float((inten * (X - xm) ** 2).sum()) / total
@@ -154,6 +160,19 @@ def second_moment_widths(s):
     return float(w[0]), float(w[1])
 
 
+def stability_record(z, out):
+    """The `stability_metrics` record of the plane `out` at distance z."""
+    wx, wy = second_moment_widths(out)
+    radius = 0.5 * math.hypot(wx, wy)
+    return {
+        "z": float(z),
+        "width_x": wx,
+        "width_y": wy,
+        "charge": topological_charge(out, radius),
+        "oam": oam_per_photon(out),
+    }
+
+
 def stability_metrics(s, zs):
     """Propagation metrics for the LG vs elliptical-Gaussian comparison.
 
@@ -162,17 +181,5 @@ def stability_metrics(s, zs):
     be a scalar field, since the charge is read from its `amp`.
     """
     zs = list(zs)
-
-    def record(z, out):
-        wx, wy = second_moment_widths(out)
-        radius = 0.5 * math.hypot(wx, wy)
-        return {
-            "z": float(z),
-            "width_x": wx,
-            "width_y": wy,
-            "charge": topological_charge(out, radius),
-            "oam": oam_per_photon(out),
-        }
-
     # map, unlike a for loop, lets go of each output before the next
-    return list(map(record, zs, propagations(s, zs)))
+    return list(map(stability_record, zs, propagations(s, zs)))

@@ -392,36 +392,36 @@ def _scenario_propagation_stability(cfg, outdir, rng):
     beam_cfg = cfg["beam"]
     beam = build_beam(cfg)
     zs = cfg["propagation"]["z_list"]
-    name = cfg.name
-    rows = []
-    kind = beam_cfg["kind"]
-    records = propagation.stability_metrics(beam, zs)
-    for rec in records:
-        z = rec["z"]
-        tag = f"z={z:g}"
-        rows.append(SummaryRow(name, f"width_x_{tag}", rec["width_x"],
-                               rec["width_x"], INFO))
-        rows.append(SummaryRow(name, f"width_y_{tag}", rec["width_y"],
-                               rec["width_y"], INFO))
+    # one pass over the distinct distances and z/2, for the semigroup row
+    z = max(zs)
+    steps = list(dict.fromkeys([*zs, z / 2]))
+    records, planes = {}, {}
+    for step, out in zip(steps, propagation.propagations(beam, steps)):
+        if step in zs:
+            records[step] = propagation.stability_record(step, out)
+        if step in (z, z / 2):
+            planes[step] = out
+        del out  # let go of each other plane before the next
+    name, kind, rows = cfg.name, beam_cfg["kind"], []
+    for z_i in zs:
+        rec, tag = records[z_i], f"z={z_i:g}"
+        rows += [SummaryRow(name, f"{key}_{tag}", rec[key], rec[key], INFO)
+                 for key in ("width_x", "width_y")]
         if kind in ("lg", "vortex"):
-            l = beam_cfg["l"]
-            rows.append(SummaryRow(name, f"charge_{tag}", rec["charge"],
-                                   float(l), 0.0))
-            rows.append(SummaryRow(name, f"oam_{tag}", rec["oam"],
-                                   float(l), 2e-3))
+            l = float(beam_cfg["l"])
+            rows += [SummaryRow(name, f"charge_{tag}", rec["charge"], l, 0.0),
+                     SummaryRow(name, f"oam_{tag}", rec["oam"], l, 2e-3)]
         elif kind == "gaussian":
             w0 = beam_cfg["w0"]
             zr = math.pi * w0 ** 2 / beam.grid.wavelength
-            w_expect = w0 * math.sqrt(1.0 + (z / zr) ** 2)
+            w_expect = w0 * math.sqrt(1.0 + (z_i / zr) ** 2)
             rows.append(SummaryRow(name, f"gaussian_width_{tag}",
                                    0.5 * (rec["width_x"] + rec["width_y"]),
                                    w_expect, 0.005 * w_expect))
             rows.append(SummaryRow(name, f"oam_{tag}", rec["oam"], 0.0, 1e-9))
     # semigroup property: two half steps equal one full step
-    z = max(zs)
-    one, half = propagation.propagations(beam, [z, z / 2])
-    del beam  # not needed for the second half step, which holds one, half
-    two = propagation.propagate(half, z / 2)
+    del beam  # not needed for the second half step
+    one, two = planes[z], propagation.propagate(planes[z / 2], z / 2)
     err = math.sqrt(beams.sum_abs2(two.amp - one.amp)
                     / beams.sum_abs2(one.amp))
     rows.append(SummaryRow(name, "semigroup_rel_err", err, 0.0, 1e-9))
@@ -496,17 +496,18 @@ def _summarize(outdir, rows):
     return 0 if all(r.ok for r in rows) else 3
 
 
-def run_scenario(cfg, outdir, seed=0, grid_n=None):
+def run_scenario(cfg, outdir, seed=0, grid_n=None, log=print):
     """Execute one scenario; writes summary.csv and images into outdir.
 
-    `grid_n` replaces the config's [grid] n.  Returns (exit_code, rows).
+    `grid_n` replaces the config's [grid] n, and `log` takes the line of a
+    numerical stop (see `execute`).  Returns (exit_code, rows).
     """
     sections = cfg.sections
     if grid_n is not None and "grid" in sections:
         sections = {**sections, "grid": {**sections["grid"], "n": grid_n}}
     with _output(outdir) as outdir:
         rows = execute(ScenarioConfig(cfg.name, sections), outdir,
-                       np.random.default_rng(seed))
+                       np.random.default_rng(seed), log)
         return _summarize(outdir, rows), rows
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lightsim
 from lightsim.cli import main
 from lightsim.config import load_config
 from lightsim.errors import ConfigError, NonpositiveFrequency
@@ -116,6 +120,31 @@ def test_list_scenarios(capsys):
     assert "qplate_conversion" in out
     assert "interference_fork" in out
     assert out == sorted(out)
+
+
+@pytest.mark.parametrize("text, args, code", [
+    (None, ["list-scenarios"], 0),
+    (QPLATE_CONFIG, ["--grid-n", "64"], 3),  # a failing check
+    (PHOTON_CONFIG.replace("nu = 5e14", "nu = -1"), [], 3),  # a logged stop
+], ids=["list-scenarios", "run-failing-check", "run-logged-stop"])
+def test_closed_stdout_keeps_the_exit_code_without_traceback(tmp_path, text,
+                                                              args, code):
+    # the reader of stdout is gone before anything is written, as in
+    # `lightsim list-scenarios | true` under pipefail
+    if text is not None:
+        args = ["run", write(tmp_path, text), "--out", str(tmp_path / "o"),
+                *args]
+    src = str(Path(lightsim.__file__).resolve().parents[1])
+    read, write_end = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lightsim", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == code
 
 
 def test_run_success_writes_outputs(tmp_path, capsys):

@@ -7,9 +7,11 @@ and per-sample Jones calculus, the sum of squared magnitudes); the
 library's kernels must agree with it to roundoff.  The kernels built on
 one quadrant of the grid and mirrored (vortex phases, Gaussian and LG
 modes, the angular-spectrum transfer phase) must agree with their
-full-grid formulas bit for bit, signed zeros included.  scipy, which the
-library does not import, is the reference for its numpy replacements of
-find_peaks, eval_genlaguerre, correlate1d and map_coordinates.
+full-grid formulas bit for bit, signed zeros included, and so must the
+second-moment widths taken against broadcast axes and against the full
+meshgrid.  scipy, which the library does not import, is the reference for
+its numpy replacements of find_peaks, eval_genlaguerre, correlate1d and
+map_coordinates.
 """
 
 import math
@@ -32,8 +34,9 @@ from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       VectorField, apply, circle_path, gaussian,
                       geodesic_path, jones_state, laguerre_gaussian,
                       oam_per_photon, propagate, propagations,
-                      rotating_waveplate_series, sam_per_photon, solid_angle,
-                      stokes_of, vector_field, waveplate)
+                      rotating_waveplate_series, sam_per_photon,
+                      second_moment_widths, solid_angle, stokes_of,
+                      vector_field, waveplate)
 from lightsim.analysis import CROP_MARGIN, _oam_scalar_sums, _sample_circle
 from lightsim.beams import (_genlaguerre, _unfold, azimuthal_phase, overlap,
                             sum_abs2)
@@ -544,6 +547,44 @@ def test_propagation_matches_masked_transfer(pitch):
     z = math.pi * (g.window / 8.0) ** 2 / 4.0
     assert same_bits(propagate(s, z).amp,
                      propagate_masked_transfer(s.amp, g, z))
+
+
+# --- moment widths from broadcast axes ---
+
+def second_moment_widths_meshgrid(s):
+    """The principal widths with the moments taken against the full
+    `Grid.coords` meshgrid."""
+    inten = sum(np.abs(c) ** 2 for c in s.components)
+    total = float(inten.sum())
+    X, Y = s.grid.coords()
+    xm = float((inten * X).sum()) / total
+    ym = float((inten * Y).sum()) / total
+    xx = float((inten * (X - xm) ** 2).sum()) / total
+    yy = float((inten * (Y - ym) ** 2).sum()) / total
+    xy = float((inten * (X - xm) * (Y - ym)).sum()) / total
+    evals, evecs = np.linalg.eigh(np.array([[xx, xy], [xy, yy]]))
+    w = 2.0 * np.sqrt(evals)
+    if abs(evecs[0, 1]) >= abs(evecs[1, 1]):
+        return float(w[1]), float(w[0])
+    return float(w[0]), float(w[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(16, 96).map(lambda k: 2 * k),
+       seed=st.integers(0, 2**32 - 1), vector=st.booleans())
+def test_moment_widths_match_meshgrid_form(n, seed, vector):
+    rng = np.random.default_rng(seed)
+    g = make_grid(n)
+    # noise on a tilted ridge, off center, so that no moment is near zero
+    x = g.axis() - rng.uniform(-0.1, 0.1) * g.window
+    ridge = np.exp(-(4.0 * (x[None, :] + rng.uniform(-2.0, 2.0) * x[:, None])
+                     / g.window) ** 2)
+    comps = [ridge * (rng.standard_normal((n, n))
+                      + 1j * rng.standard_normal((n, n)))
+             for _ in range(2 if vector else 1)]
+    s = VectorField(g, *comps) if vector else ScalarField(g, *comps)
+    assert same_bits(np.array(second_moment_widths(s)),
+                     np.array(second_moment_widths_meshgrid(s)))
 
 
 # --- quadrant kernels, mirrored ---

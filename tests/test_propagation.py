@@ -9,9 +9,11 @@ from lightsim import (Grid, ScalarField, elliptical_gaussian, far_field,
                       gaussian, jones_state, laguerre_gaussian, oam_per_photon,
                       propagate, propagations, second_moment_widths,
                       stability_metrics, topological_charge, vector_field)
-from lightsim.beams import MAX_L, MAX_P
+from lightsim.beams import MAX_L, MAX_P, sum_abs2
+from lightsim.config import ScenarioConfig, validate
 from lightsim.errors import WindowTooSmall
-from lightsim.scenarios import build_scalar_beam
+from lightsim.scenarios import (SCENARIOS, SummaryRow, build_beam,
+                                build_scalar_beam, run_scenario)
 
 WAVELENGTH = 632.8e-7  # cm
 
@@ -55,7 +57,7 @@ def test_negative_distance_rejected_before_any_transform(monkeypatch):
     def no_fft(*args, **kwargs):
         raise AssertionError("FFT before the distances were checked")
 
-    monkeypatch.setattr(np.fft, "fft2", no_fft)
+    monkeypatch.setattr(np.fft, "fft", no_fft)
     with pytest.raises(ValueError):
         next(propagations(s, [rayleigh(1.0), -1.0]))
 
@@ -168,6 +170,86 @@ def test_stability_metrics_records():
         assert r["charge"] == -1
         assert r["oam"] == pytest.approx(-1.0, abs=2e-3)
         assert r["width_x"] > 0.0 and r["width_y"] > 0.0
+
+
+# --- propagation_stability: one pass over the planes ---
+
+SI_WAVELENGTH = 632.8e-9
+SI_GRID = {"n": 128, "window": 8e-3, "wavelength": SI_WAVELENGTH}
+SI_W0 = 8e-3 / 16.0
+SI_ZR = math.pi * SI_W0 ** 2 / SI_WAVELENGTH
+STABILITY_BEAMS = {"lg": {"kind": "lg", "l": -2, "p": 0, "w0": SI_W0},
+                   "gaussian": {"kind": "gaussian", "w0": SI_W0}}
+
+
+def stability_sections(beam, zs):
+    return {"grid": SI_GRID, "beam": STABILITY_BEAMS[beam],
+            "propagation": {"z_list": [t * SI_ZR for t in zs]}}
+
+
+def two_pass_rows(sections):
+    """propagation_stability's rows as its two-pass form made them:
+    `stability_metrics` over z_list, then the beam propagated afresh to z
+    and z/2 and a half step from z/2."""
+    name = "propagation_stability"
+    cfg = validate(name, sections, SCENARIOS[name][0])
+    beam, beam_cfg = build_beam(cfg), cfg["beam"]
+    rows = []
+    for rec in stability_metrics(beam, cfg["propagation"]["z_list"]):
+        tag = f"z={rec['z']:g}"
+        for key in ("width_x", "width_y"):
+            rows.append(SummaryRow(name, f"{key}_{tag}", rec[key], rec[key],
+                                   float("inf")))
+        if beam_cfg["kind"] == "lg":
+            rows.append(SummaryRow(name, f"charge_{tag}", rec["charge"],
+                                   float(beam_cfg["l"]), 0.0))
+            rows.append(SummaryRow(name, f"oam_{tag}", rec["oam"],
+                                   float(beam_cfg["l"]), 2e-3))
+        else:
+            w0 = beam_cfg["w0"]
+            zr = math.pi * w0 ** 2 / SI_WAVELENGTH
+            w_expect = w0 * math.sqrt(1.0 + (rec["z"] / zr) ** 2)
+            rows.append(SummaryRow(name, f"gaussian_width_{tag}",
+                                   0.5 * (rec["width_x"] + rec["width_y"]),
+                                   w_expect, 0.005 * w_expect))
+            rows.append(SummaryRow(name, f"oam_{tag}", rec["oam"], 0.0, 1e-9))
+    z = max(cfg["propagation"]["z_list"])
+    one, half = propagations(beam, [z, z / 2])
+    two = propagate(half, z / 2)
+    err = math.sqrt(sum_abs2(two.amp - one.amp) / sum_abs2(one.amp))
+    rows.append(SummaryRow(name, "semigroup_rel_err", err, 0.0, 1e-9))
+    return rows
+
+
+@pytest.mark.parametrize("beam", sorted(STABILITY_BEAMS))
+@pytest.mark.parametrize("zs", [
+    [1.0, 2.0],        # z/2 in the list
+    [0.5, 1.5],        # z/2 not in it
+    [2.0],             # a single z
+    [2.0, 1.0, 2.0],   # a duplicated z
+])
+def test_stability_rows_equal_the_two_pass_form(tmp_path, beam, zs):
+    sections = stability_sections(beam, zs)
+    code, rows = run_scenario(
+        ScenarioConfig("propagation_stability", sections), tmp_path)
+    assert code == 0
+    assert list(map(repr, rows)) == list(map(repr, two_pass_rows(sections)))
+
+
+def test_stability_transforms_each_plane_once(tmp_path, monkeypatch):
+    # two 1-D FFTs per 2-D transform: forward of the beam and of the half
+    # plane, inverse to zR (= z/2), 2 zR and the second half step
+    calls = {"fft": 0, "ifft": 0}
+    for fn in calls:
+        def counted(a, *args, fn=fn, real=getattr(np.fft, fn), **kwargs):
+            calls[fn] += np.ndim(a) == 2
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, fn, counted)
+    sections = stability_sections("lg", [1.0, 2.0])
+    code, _ = run_scenario(ScenarioConfig("propagation_stability", sections),
+                           tmp_path)
+    assert code == 0
+    assert calls == {"fft": 2 * 2, "ifft": 2 * 3}
 
 
 @settings(max_examples=100, deadline=None)
