@@ -25,7 +25,8 @@ for z in (0.0, zr, 2 * zr):
 
 lg = ls.laguerre_gaussian(grid, 2, 0, w0)
 print("\nLG(l=2, p=0):")
-for rec in ls.stability_metrics(lg, [zr, 2 * zr]):
+zs = [zr, 2 * zr]
+for rec in map(ls.stability_record, zs, ls.propagations(lg, zs)):
     print(f"  z = {rec['z'] / zr:3.1f} zR: width = {rec['width_x'] * 1e3:.3f} mm, "
           f"charge = {rec['charge']}, oam/photon = {rec['oam']:.4f} hbar")
 

@@ -21,7 +21,7 @@ from .polarization import (JonesMatrix, JonesVector, StokesVector, apply,
                            jones_state, pancharatnam_phase, stokes_of,
                            waveplate)
 from .propagation import (far_field, propagate, propagations,
-                          second_moment_widths, stability_metrics)
+                          second_moment_widths, stability_record)
 from .scenarios import frequency_shift_from_series, run_scenario, selftest
 
 __version__ = "0.1.0"

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import (MAX_L, ScalarField, VectorField, azimuthal_phase,
-                    circular_components, vector_field)
+from .beams import MAX_L, VectorField, azimuthal_phase
 from .errors import UndersampledRotation
-from .polarization import JonesVector, jones_state, retard
+from .polarization import JonesVector, retard
 
 MIN_SAMPLES_PER_PERIOD = 64
 
@@ -77,27 +76,3 @@ def rotating_waveplate_series(delta, omega, input_state, times):
     v = input_state
     return JonesVector(*retard(delta, np.exp(2j * (omega * times)), v.ex, v.ey))
 
-
-def qplate_alpha0_decomposition(spec, f):
-    """Decompose the q-plate output by its alpha0 dependence.
-
-    The waveplate matrix is linear in {1, e^{2i alpha}, e^{-2i alpha}}, so
-    the output for any offset a0 is
-
-        out(a0) = f_c + e^{+2i a0} f_plus + e^{-2i a0} f_minus
-
-    with the three component fields computed here once.  Used to evaluate
-    long rotating-q-plate time series without reapplying the element.
-    The plate flips handedness: f_plus = -i sin(d/2) e^{2i alpha} psi_L |R>
-    and f_minus = -i sin(d/2) e^{-2i alpha} psi_R |L>.
-    """
-    ch = math.cos(spec.delta / 2.0)
-    jsh = 1j * math.sin(spec.delta / 2.0)
-    e2 = _qplate_e2(spec, f.grid)
-    psi_l, psi_r = circular_components(f)
-    f_c = VectorField(f.grid, ch * f.ex, ch * f.ey)
-    f_plus = vector_field(ScalarField(f.grid, -jsh * e2 * psi_l.amp),
-                          jones_state("R"))
-    f_minus = vector_field(ScalarField(f.grid, -jsh * np.conj(e2) * psi_r.amp),
-                           jones_state("L"))
-    return f_c, f_plus, f_minus

@@ -14,8 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OrthogonalStates, ZeroState
 
 ORTHOGONALITY_TOL = 1e-12
@@ -54,14 +52,6 @@ class JonesMatrix:
     m01: complex
     m10: complex
     m11: complex
-
-    def as_array(self):
-        return np.array([[self.m00, self.m01], [self.m10, self.m11]], dtype=complex)
-
-    def __matmul__(self, other):
-        """Matrix product self @ other (other acts first)."""
-        c = self.as_array() @ other.as_array()
-        return JonesMatrix(c[0, 0], c[0, 1], c[1, 0], c[1, 1])
 
 
 @dataclass(frozen=True)
@@ -110,12 +100,6 @@ def stokes_of(v):
     ay2 = abs(v.ey) ** 2
     cross = v.ex.conjugate() * v.ey
     return StokesVector(ax2 + ay2, ax2 - ay2, 2.0 * cross.real, 2.0 * cross.imag)
-
-
-def rotation(angle):
-    """Real rotation of the transverse basis by `angle`."""
-    c, s = math.cos(angle), math.sin(angle)
-    return JonesMatrix(c, -s, s, c)
 
 
 def retard(delta, e2, ex, ey):

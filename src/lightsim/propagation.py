@@ -161,7 +161,8 @@ def second_moment_widths(s):
 
 
 def stability_record(z, out):
-    """The `stability_metrics` record of the plane `out` at distance z."""
+    """Widths, charge on the rms-radius circle and OAM per photon of the
+    scalar plane `out` at distance z."""
     wx, wy = second_moment_widths(out)
     radius = 0.5 * math.hypot(wx, wy)
     return {
@@ -172,14 +173,3 @@ def stability_record(z, out):
         "oam": oam_per_photon(out),
     }
 
-
-def stability_metrics(s, zs):
-    """Propagation metrics for the LG vs elliptical-Gaussian comparison.
-
-    Returns one record per z with second-moment widths, the topological
-    charge on a circle at the rms radius, and the OAM per photon.  `s` must
-    be a scalar field, since the charge is read from its `amp`.
-    """
-    zs = list(zs)
-    # map, unlike a for loop, lets go of each output before the next
-    return list(map(stability_record, zs, propagations(s, zs)))

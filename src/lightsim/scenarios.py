@@ -8,7 +8,7 @@ reduced grid.
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -91,6 +91,11 @@ def beam_waist(beam_cfg):
     return max(beam_cfg[k] for k in BEAM_WAIST_KEYS[beam_cfg["kind"]])
 
 
+def beam_charge(beam_cfg):
+    """The azimuthal charge l of an LG or vortex beam; 0 for the others."""
+    return beam_cfg["l"] if beam_cfg["kind"] in ("lg", "vortex") else 0
+
+
 def build_beam(cfg):
     """The configured scalar beam on the configured grid."""
     return build_scalar_beam(build_grid(cfg), cfg["beam"])
@@ -151,19 +156,19 @@ def _hwp_pair_output(omega, times):
 def rotating_qplate_overlap_series(spec, f, omega, times):
     """Amplitude <out(0)|out(t)> for a q-plate spinning at omega.
 
-    Uses the exact three-term alpha0 decomposition of the element, so long
-    series cost three overlap integrals instead of one element application
-    per sample.
+    The plate is linear in e^{+-2i alpha}, so the amplitude is exactly
+    c0 + c+ e^{2i omega t} + c- e^{-2i omega t}; the plate turned by 0 (the
+    output's power), pi/3 and 2pi/3 gives them as a 3-point DFT.
     """
     ref = elements.apply_qplate(spec, f)
-    parts = elements.qplate_alpha0_decomposition(spec, f)
-    scale = f.grid.pitch ** 2
 
-    def overlap(g):
-        return scale * sum(beams.overlap(a, b)
-                           for a, b in zip(ref.components, g.components))
+    def overlap(a):  # the turned output is dropped once it is read
+        out = elements.apply_qplate(replace(spec, alpha0=spec.alpha0 + a), f)
+        return f.grid.pitch ** 2 * sum(
+            beams.overlap(u, v) for u, v in zip(ref.components, out.components))
 
-    c0, cp, cm = (overlap(g) for g in parts)
+    c0, cp, cm = np.fft.fft([ref.power, overlap(math.pi / 3.0),
+                             overlap(2.0 * math.pi / 3.0)]) / 3.0
     return (c0 + cp * np.exp(2j * omega * times)
             + cm * np.exp(-2j * omega * times))
 
@@ -189,7 +194,7 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
     power_out = field_out.power
 
     s3_sign = 1.0 if ledger_in.sam >= 0.0 else -1.0
-    charge_expected = 2.0 * spec.q * s3_sign
+    charge_expected = beam_charge(cfg["beam"]) + 2.0 * spec.q * s3_sign
 
     s_out = stokes_of(field_out)
     flip_dev = float(np.max(np.abs(s_out.s3[mask] / s_out.s0[mask]
@@ -223,7 +228,7 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
 
 def _scenario_generalized_charge(cfg, outdir, rng):
     base = build_beam(cfg)
-    loop_radius = beam_waist(cfg["beam"])
+    l, loop_radius = beam_charge(cfg["beam"]), beam_waist(cfg["beam"])
     # (input hand, sign of the charge, field), built once; each output
     # field lives only inside the one expression that reads its charge
     inputs = [(kind, sign, beams.vector_field(base, jones_state(kind)))
@@ -238,7 +243,7 @@ def _scenario_generalized_charge(cfg, outdir, rng):
                 loop_radius)
             rows.append(SummaryRow(
                 cfg.name, f"charge_2q={two_q}_{kind}",
-                charge, sign * two_q, 0.0))
+                charge, l + sign * two_q, 0.0))
     return rows
 
 
@@ -505,9 +510,9 @@ def run_scenario(cfg, outdir, seed=0, grid_n=None, log=print):
     sections = cfg.sections
     if grid_n is not None and "grid" in sections:
         sections = {**sections, "grid": {**sections["grid"], "n": grid_n}}
+    rng = _build(np.random.default_rng, seed)
     with _output(outdir) as outdir:
-        rows = execute(ScenarioConfig(cfg.name, sections), outdir,
-                       np.random.default_rng(seed), log)
+        rows = execute(ScenarioConfig(cfg.name, sections), outdir, rng, log)
         return _summarize(outdir, rows), rows
 
 
@@ -576,7 +581,7 @@ def selftest(outdir, seed=0, grid_n=256, verbose=print):
     scenario group.  A config that stops on a numerical error becomes one
     failing row (see `execute`); the others still run.  Returns the exit code.
     """
-    rng = np.random.default_rng(seed)
+    rng = _build(np.random.default_rng, seed)
     with _output(outdir) as outdir:
         rows = sorted((row for cfg in _selftest_configs(grid_n)
                        for row in execute(cfg, None, rng, verbose)),

@@ -235,6 +235,8 @@ z_list = 1, 2
     (QPLATE_CONFIG, ["--out", "{file}"]),
     (None, ["--out", "{file}/x"]),
     (QPLATE_CONFIG + "\n[output]\ndirectory = {file}\n", []),
+    (QPLATE_CONFIG, ["--seed", "-1"]),
+    (None, ["--seed", "-1"]),
 ], ids=["gaussian-no-w0", "elliptical-no-wy", "unknown-kind", "lg-no-w0",
         "lg_oam-elliptical", "lg_oam-l", "lg_oam-p", "periods-0",
         "periods-negative", "undersampled", "q-not-half-integer", "q-nan",
@@ -243,7 +245,8 @@ z_list = 1, 2
         "selftest-grid-n-30", "q-charge-above-max-l", "q-huge",
         "polarization-linear", "delta-not-pi", "rotating-quarter-wave",
         "run-out-is-a-file", "selftest-out-under-a-file",
-        "output-directory-is-a-file"])
+        "output-directory-is-a-file", "run-seed-negative",
+        "selftest-seed-negative"])
 def test_run_domain_error_exit_2(tmp_path, capsys, text, args):
     # "{file}" stands for an existing file; a case that names it sets its
     # own output path, which cannot be written
@@ -288,6 +291,33 @@ def test_fork_count_with_negative_tilt(tmp_path):
     assert main(["run", write(tmp_path, FORK_CONFIG), "--out", str(outdir)]) == 0
     rows = (outdir / "summary.csv").read_text().splitlines()
     assert rows[1].startswith("interference_fork,fork_count,2,2,")
+
+
+GENERALIZED_CONFIG = QPLATE_CONFIG.split("\n[polarization]")[0].replace(
+    "qplate_conversion", "generalized_charge")
+
+
+@pytest.mark.parametrize("text, expected", [
+    (QPLATE_CONFIG.replace("kind = gaussian", "kind = lg\nl = 1")
+     .replace("kind = L", "kind = R").replace("q = 1", "q = 0.5"),
+     {"charge_out": 0, "oam_out": 0, "ledger_imbalance": 1}),
+    (QPLATE_CONFIG.replace("kind = gaussian", "kind = lg\nl = 1"),
+     {"charge_out": 3, "oam_out": 3, "ledger_imbalance": 0}),
+    (GENERALIZED_CONFIG.replace("kind = gaussian", "kind = vortex\nl = -2"),
+     {"charge_2q=4_L": 2, "charge_2q=4_R": -6, "charge_2q=-1_L": -3}),
+    (GENERALIZED_CONFIG + "l = 2\n",  # a Gaussian beam has no charge
+     {"charge_2q=4_L": 4, "charge_2q=4_R": -4, "charge_2q=-1_L": -1}),
+], ids=["lg-R-q-half", "lg-L-q-1", "generalized-vortex", "generalized-gaussian"])
+def test_qplate_scenarios_expect_beam_charge_plus_2q_sigma(tmp_path, capsys,
+                                                           text, expected):
+    # the converted component carries the input beam's charge l plus 2q
+    # sigma; every row passes, and the charge rows have tolerance 0
+    assert main(["run", write(tmp_path, text),
+                 "--out", str(tmp_path / "o")]) == 0
+    lines = {line.split(".", 1)[1].split(":")[0]: line
+             for line in capsys.readouterr().out.splitlines()}
+    for quantity, value in expected.items():
+        assert f"(expected {value} " in lines[quantity]
 
 
 def test_run_numerical_failure_exit_3(tmp_path):

@@ -7,9 +7,9 @@ from lightsim import (JonesVector, QPlateSpec, apply_qplate, gaussian,
                       jones_state, rotating_waveplate_series, vector_field)
 from lightsim.analysis import sam_per_photon, topological_charge
 from lightsim.beams import Grid, circular_components
-from lightsim.elements import qplate_alpha0_decomposition
 from lightsim.errors import UndersampledRotation
 from lightsim.polarization import apply, stokes_of, waveplate
+from lightsim.scenarios import rotating_qplate_overlap_series
 
 WAVELENGTH = 632.8e-7
 
@@ -116,17 +116,27 @@ def test_rotating_waveplate_static_limit():
     assert float(np.max(np.abs(out.ey - out.ey[0]))) < 1e-15
 
 
-def test_alpha0_decomposition_reconstructs_output():
-    f = make_field(n=64, w0=0.75)
-    spec = QPlateSpec(1.0, 0.2, 0.9)
-    f_c, f_plus, f_minus = qplate_alpha0_decomposition(spec, f)
-    for da in (0.0, 0.37, 1.9):
-        direct = apply_qplate(QPlateSpec(spec.q, spec.alpha0 + da, spec.delta),
-                              f)
-        ex = f_c.ex + np.exp(2j * da) * f_plus.ex + np.exp(-2j * da) * f_minus.ex
-        ey = f_c.ey + np.exp(2j * da) * f_plus.ey + np.exp(-2j * da) * f_minus.ey
-        np.testing.assert_allclose(ex, direct.ex, atol=1e-13)
-        np.testing.assert_allclose(ey, direct.ey, atol=1e-13)
+@pytest.mark.parametrize("two_q", range(-8, 9))
+@pytest.mark.parametrize("alpha0", [0.0, 0.37])
+def test_rotating_qplate_series_matches_direct_overlaps(two_q, alpha0):
+    # <out(0)|out(t)> against the plate applied afresh at alpha0 + omega t;
+    # an L input has only the e^{2i omega t} term, R only e^{-2i omega t},
+    # H both
+    omega, times = 1.3, np.array([0.0, 0.1, 0.37, 1.0, 2.5])
+    for delta in (math.pi, 0.9):
+        spec = QPlateSpec(two_q / 2.0, alpha0, delta)
+        for kind in "LRH":
+            f = make_field(n=64, kind=kind, w0=0.75)
+            ref = apply_qplate(spec, f)
+            direct = np.array([f.grid.pitch ** 2 * sum(
+                np.vdot(a, b) for a, b in zip(
+                    ref.components,
+                    apply_qplate(QPlateSpec(spec.q, alpha0 + omega * t, delta),
+                                 f).components))
+                for t in times])
+            got = rotating_qplate_overlap_series(spec, f, omega, times)
+            assert np.max(np.abs(got - direct)) \
+                <= 1e-12 * np.max(np.abs(direct)), (delta, kind)
 
 
 def test_hwp_pair_restores_input_polarization():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lightsim import (Grid, ScalarField, elliptical_gaussian, far_field,
                       gaussian, jones_state, laguerre_gaussian, oam_per_photon,
                       propagate, propagations, second_moment_widths,
-                      stability_metrics, topological_charge, vector_field)
+                      stability_record, topological_charge, vector_field)
 from lightsim.beams import MAX_L, MAX_P, sum_abs2
 from lightsim.config import ScenarioConfig, validate
 from lightsim.errors import WindowTooSmall
@@ -161,10 +161,10 @@ def test_far_field_elliptical_aspect_transposes():
     assert wy / wx == pytest.approx(2.0, rel=1e-2)
 
 
-def test_stability_metrics_records():
+def test_stability_records():
     s = laguerre_gaussian(make_grid(), -1, 0, 1.0)
     zs = [rayleigh(1.0), 2.0 * rayleigh(1.0)]
-    records = stability_metrics(s, zs)
+    records = list(map(stability_record, zs, propagations(s, zs)))
     assert [r["z"] for r in records] == zs
     for r in records:
         assert r["charge"] == -1
@@ -189,13 +189,14 @@ def stability_sections(beam, zs):
 
 def two_pass_rows(sections):
     """propagation_stability's rows as its two-pass form made them:
-    `stability_metrics` over z_list, then the beam propagated afresh to z
+    `stability_record` over z_list, then the beam propagated afresh to z
     and z/2 and a half step from z/2."""
     name = "propagation_stability"
     cfg = validate(name, sections, SCENARIOS[name][0])
     beam, beam_cfg = build_beam(cfg), cfg["beam"]
     rows = []
-    for rec in stability_metrics(beam, cfg["propagation"]["z_list"]):
+    zs = cfg["propagation"]["z_list"]
+    for rec in map(stability_record, zs, propagations(beam, zs)):
         tag = f"z={rec['z']:g}"
         for key in ("width_x", "width_y"):
             rows.append(SummaryRow(name, f"{key}_{tag}", rec[key], rec[key],

@@ -1,5 +1,6 @@
 """The README's examples run as printed, so it cannot drift from the API;
-and the API exports nothing that only its own tests use."""
+the API exports nothing that only its own tests use; and no module imports
+a name it does not use."""
 
 import ast
 import re
@@ -48,3 +49,19 @@ def test_every_export_has_a_caller_outside_the_tests():
     exported = {alias.asname or alias.name for node in ast.walk(init)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(exported - used) == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for path in sorted((ROOT / "src" / "lightsim").glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
