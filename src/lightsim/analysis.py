@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import _dot, sum_abs2
+from .beams import _dot, max_abs, sum_abs2
 from .constants import C_LIGHT, H_PLANCK
 from .errors import (LoopThroughZero, NonpositiveFrequency, RadiusOutOfGrid,
                      ZeroEnergy, ZeroField)
@@ -179,7 +179,7 @@ def topological_charge(s, loop_radius):
     """Phase winding of psi around a centered circle of 720 samples (exact
     integer)."""
     vals = _sample_circle(s.grid, s.amp, loop_radius, 720)
-    peak = float(np.max(np.abs(s.amp)))
+    peak = max_abs(s.amp)
     if np.min(np.abs(vals)) <= 1e-9 * peak:
         raise LoopThroughZero(
             f"loop at r={loop_radius:g} passes within 1e-9 of a field zero")

@@ -145,11 +145,32 @@ def _unfold(out, m):
     flip(out[:h - 1:-1], out=out[:h])
 
 
-# Quadrant points evaluated per block.  A block's temporaries stay in L2,
-# and stay too small for malloc to keep them resident once freed: whole
-# quadrant temporaries (8-16 MB at n = 2048) raised the peak RSS of a
-# 2048-point run by 16 MB.
+# Pixels evaluated per block.  A block's temporaries stay in L2, and stay
+# too small for malloc to keep them resident once freed: whole quadrant
+# temporaries (8-16 MB at n = 2048) raised the peak RSS of a 2048-point
+# run by 16 MB.
 _BLOCK = 1 << 14
+
+
+def _by_rows(fn, *maps):
+    """fn(*maps) for a pixelwise `fn` of n x n maps that returns arrays
+    indexed by row first, run on blocks of rows into full results; these
+    are fn(*maps) bit for bit, as a pixelwise formula is blockwise too."""
+    n = len(maps[0])
+    step = max(1, _BLOCK // n)
+    outs = None
+    for r in range(0, n, step):
+        got = fn(*(m[r:r + step] for m in maps))
+        if outs is None:
+            outs = [np.empty((n,) + g.shape[1:], g.dtype) for g in got]
+        for out, g in zip(outs, got):
+            out[r:r + step] = g
+    return outs
+
+
+def max_abs(a):
+    """np.max(np.abs(a)) over a map, taken by rows: max is exact."""
+    return float(np.max(*_by_rows(lambda b: (np.abs(b).max(axis=1),), a)))
 
 
 def _mirrored(f, grid, m):
@@ -268,8 +289,8 @@ def vector_field(s, pol):
     """Uniformly polarized vector field: components pol * amp."""
     if isinstance(pol, JonesVector):
         pol = pol.normalized()
-    ex, ey = pol.ex, pol.ey
-    return VectorField(s.grid, ex * s.amp, ey * s.amp)
+    return VectorField(s.grid, *_by_rows(lambda a: (pol.ex * a, pol.ey * a),
+                                         s.amp))
 
 
 def circular_component(f, hand):
@@ -279,7 +300,8 @@ def circular_component(f, hand):
     (ex + i ey)/sqrt(2) per pixel, as a scalar field.
     """
     i = -1j if hand == "L" else 1j
-    return ScalarField(f.grid, (f.ex + i * f.ey) * (1.0 / math.sqrt(2.0)))
+    return ScalarField(f.grid, *_by_rows(
+        lambda ex, ey: ((ex + i * ey) * (1.0 / math.sqrt(2.0)),), f.ex, f.ey))
 
 
 def circular_components(f):

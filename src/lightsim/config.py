@@ -73,8 +73,9 @@ BEAM_WAIST_KEYS = {"gaussian": ("w0",), "elliptical": ("wx", "wy"),
                    "lg": ("w0",), "vortex": ("w0",)}
 
 GRID_SECTION = SectionSchema("grid", [
-    # > 0 so that the pitch window / n exists; Grid checks the rest
-    Key("n", "int", default=512, check=(lambda n: n > 0, "must be > 0")),
+    # n > 0 for the pitch, n <= 8192 (a 1 GiB map); Grid checks the rest
+    Key("n", "int", default=512,
+        check=(lambda n: 0 < n <= 8192, "must be in 1..8192")),
     Key("window", "float", required=True),
     Key("wavelength", "float", required=True),
 ], required=True)

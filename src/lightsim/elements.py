@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import MAX_L, VectorField, azimuthal_phase
+from .beams import MAX_L, VectorField, _by_rows, azimuthal_phase
 from .errors import UndersampledRotation
 from .polarization import JonesVector, retard
 
@@ -40,17 +40,16 @@ class QPlateSpec:
                 f"got q={self.q}")
 
 
-def _qplate_e2(spec, grid):
-    """exp(2i alpha) = exp(2i alpha0) (exp(i phi))^(2q); 2q is an integer."""
-    return (cmath.exp(2j * spec.alpha0)
-            * azimuthal_phase(grid, round(2.0 * spec.q)))
-
-
 def apply_qplate(spec, f):
-    """Apply the q-plate to every pixel of a vector field (unitary): a
-    waveplate whose axis angle alpha is given by the map exp(2i alpha)."""
-    return VectorField(f.grid,
-                       *retard(spec.delta, _qplate_e2(spec, f.grid), f.ex, f.ey))
+    """Apply the q-plate to every pixel of a vector field (unitary), by
+    blocks of rows: a waveplate whose axis angle alpha is given by the map
+    exp(2i alpha) = exp(2i alpha0) (exp(i phi))^(2q); 2q is an integer."""
+    e2_alpha0 = cmath.exp(2j * spec.alpha0)
+    # array first: numpy's complex product can differ in the last bit with
+    # the operand order, and it took the whole-map product in place
+    return VectorField(f.grid, *_by_rows(
+        lambda phase, ex, ey: retard(spec.delta, phase * e2_alpha0, ex, ey),
+        azimuthal_phase(f.grid, round(2.0 * spec.q)), f.ex, f.ey))
 
 
 def _check_sampling(omega, times):

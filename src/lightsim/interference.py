@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from .beams import max_abs
 from .errors import TiltTooSmall, UnresolvableFringes
 
 MIN_FRINGES = 8
@@ -33,7 +34,7 @@ def interference_image(out, tilt):
         raise UnresolvableFringes(
             f"{grid.n / fringes:.2f} samples per fringe; need >= "
             f"{MIN_SAMPLES_PER_FRINGE}")
-    peak = float(np.max(np.abs(out.amp)))
+    peak = max_abs(out.amp)
     if peak == 0.0:
         raise ValueError("cannot interfere a zero field")
     img = np.abs(out.amp / peak + np.exp(1j * kx * grid.axis())) ** 2

@@ -24,8 +24,8 @@ from .constants import C_LIGHT, H_PLANCK, HBAR
 from .errors import ConfigError, LightsimError
 from .imageio import (write_csv, write_intensity_pgm, write_phase_pgm,
                       write_stokes_ppm)
-from .polarization import (apply, jones_state, stokes_of, waveplate,
-                           wrap_angle)
+from .polarization import (JonesVector, StokesVector, apply, jones_state,
+                           stokes_of, waveplate, wrap_angle)
 
 INFO = float("inf")  # tolerance marker for informational rows
 
@@ -107,6 +107,13 @@ def build_vector_beam(cfg):
                               jones_state(cfg["polarization"]["kind"]))
 
 
+def stokes_maps(f):
+    """`stokes_of(f)`, the Stokes maps of a vector field, by blocks of rows."""
+    return StokesVector(*beams._by_rows(
+        lambda ex, ey: vars(stokes_of(JonesVector(ex, ey))).values(),
+        f.ex, f.ey))
+
+
 def oam_tolerance(grid):
     """Discretization-aware OAM check tolerance.
 
@@ -184,7 +191,7 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
     spec = build_qplate(cfg)
     ledger_in = analysis.am_ledger(field_in)
     power_in = field_in.power
-    s_in = stokes_of(field_in)
+    s_in = stokes_maps(field_in)
     mask = s_in.s0 > 1e-9 * float(np.max(s_in.s0))
     ratio_in = s_in.s3[mask] / s_in.s0[mask]
     del s_in
@@ -196,7 +203,7 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
     s3_sign = 1.0 if ledger_in.sam >= 0.0 else -1.0
     charge_expected = beam_charge(cfg["beam"]) + 2.0 * spec.q * s3_sign
 
-    s_out = stokes_of(field_out)
+    s_out = stokes_maps(field_out)
     flip_dev = float(np.max(np.abs(s_out.s3[mask] / s_out.s0[mask]
                                    + ratio_in)))
     del ratio_in, mask

@@ -226,6 +226,9 @@ z_list = 1, 2
     (QPLATE_CONFIG.replace("n = 256", "n = 33"), []),
     (QPLATE_CONFIG, ["--grid-n", "31"]),
     (None, ["--grid-n", "30"]),
+    # above the cap: refused before any array is allocated
+    (QPLATE_CONFIG.replace("n = 256", "n = 100000000"), []),
+    (None, ["--grid-n", "100000000"]),
     (QPLATE_CONFIG.replace("q = 1", "q = 5.5"), []),
     (QPLATE_CONFIG.replace("q = 1", "q = 1e18"), []),
     (QPLATE_CONFIG.replace("kind = L", "kind = H"), []),
@@ -242,7 +245,8 @@ z_list = 1, 2
         "periods-negative", "undersampled", "q-not-half-integer", "q-nan",
         "delta-inf", "z-negative", "nu-nan", "omega-nan",
         "wavelength-negative", "n-odd", "run-grid-n-odd",
-        "selftest-grid-n-30", "q-charge-above-max-l", "q-huge",
+        "selftest-grid-n-30", "n-above-cap", "selftest-grid-n-above-cap",
+        "q-charge-above-max-l", "q-huge",
         "polarization-linear", "delta-not-pi", "rotating-quarter-wave",
         "run-out-is-a-file", "selftest-out-under-a-file",
         "output-directory-is-a-file", "run-seed-negative",

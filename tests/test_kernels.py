@@ -9,11 +9,16 @@ one quadrant of the grid and mirrored (vortex phases, Gaussian and LG
 modes, the angular-spectrum transfer phase) must agree with their
 full-grid formulas bit for bit, signed zeros included, and so must the
 second-moment widths taken against broadcast axes and against the full
-meshgrid.  scipy, which the library does not import, is the reference for
-its numpy replacements of find_peaks, eval_genlaguerre, correlate1d and
-map_coordinates.
+meshgrid.  The pixel kernels evaluated by blocks of rows (the q-plate
+output, vector fields, circular components, Stokes maps and the |psi|
+peak) must agree bit for bit with their whole-map formulas, with blocks
+that end mid-grid.  scipy, which the library does not import, is the
+reference for its numpy replacements of find_peaks, eval_genlaguerre,
+correlate1d and map_coordinates.
 """
 
+import cmath
+import contextlib
 import math
 import os
 import subprocess
@@ -32,19 +37,20 @@ from scipy.special import eval_genlaguerre, factorial
 import lightsim
 from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       VectorField, apply, circle_path, gaussian,
-                      geodesic_path, jones_state, laguerre_gaussian,
-                      oam_per_photon, propagate, propagations,
-                      rotating_waveplate_series, sam_per_photon,
-                      second_moment_widths, solid_angle, stokes_of,
-                      vector_field, waveplate)
+                      geodesic_path, interference_image, jones_state,
+                      laguerre_gaussian, oam_per_photon, propagate,
+                      propagations, rotating_waveplate_series,
+                      sam_per_photon, second_moment_widths, solid_angle,
+                      stokes_of, vector_field, waveplate)
 from lightsim.analysis import CROP_MARGIN, _oam_scalar_sums, _sample_circle
-from lightsim.beams import (_genlaguerre, _unfold, azimuthal_phase, overlap,
-                            sum_abs2)
+from lightsim.beams import (_genlaguerre, _unfold, azimuthal_phase,
+                            circular_component, max_abs, overlap, sum_abs2)
 from lightsim.elements import apply_qplate
 from lightsim.geomphase import _fan_apex
 from lightsim.imageio import write_stokes_ppm
 from lightsim.interference import _count_maxima
-from lightsim.scenarios import build_scalar_beam
+from lightsim.polarization import retard
+from lightsim.scenarios import build_scalar_beam, stokes_maps
 
 WAVELENGTH = 632.8e-7
 
@@ -651,3 +657,105 @@ def test_a_flipped_mirror_sign_is_caught():
     assert np.array_equal(unfolded(ref, 8), ref)
     assert not same_bits(unfolded(ref, 8), ref)
     assert same_bits(azimuthal_phase(g, 8), ref)
+
+
+# --- pixel kernels by blocks of rows ---
+
+# With blocks of 7 rows, the last block of these grids is partial.
+ragged_n = even_n.filter(lambda n: n % 7)
+
+
+@contextlib.contextmanager
+def ragged_blocks(n):
+    """Blocks of 7 n + 3 pixels, which `_by_rows` rounds down to 7 rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lightsim.beams, "_BLOCK", 7 * n + 3)
+        yield
+
+
+def signed_zero_field(n, seed):
+    """A random vector field, about a tenth of its parts +0.0 or -0.0."""
+    f = random_vector_field(n, seed)
+    rng = np.random.default_rng(seed)
+    for c in f.components:
+        parts = c.view(float)
+        parts[rng.random(parts.shape) < 0.05] = 0.0
+        parts[rng.random(parts.shape) < 0.05] = -0.0
+    return f
+
+
+def interference_image_whole(s, tilt):
+    kx = s.grid.k * math.sin(tilt)
+    peak = float(np.max(np.abs(s.amp)))
+    img = np.abs(s.amp / peak + np.exp(1j * kx * s.grid.axis())) ** 2
+    return img / img.max()
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=ragged_n, seed=seeds, two_q=st.integers(-8, 8),
+       alpha0=st.sampled_from([0.0, 0.37]),
+       delta=st.sampled_from([math.pi, 0.9]))
+@example(n=32, seed=0, two_q=8, alpha0=0.0, delta=math.pi)
+@example(n=128, seed=0, two_q=1, alpha0=0.37, delta=math.pi)  # operand order
+def test_blocked_qplate_matches_whole_grid_bits(n, seed, two_q, alpha0, delta):
+    f = signed_zero_field(n, seed)
+    with ragged_blocks(n):
+        out = apply_qplate(QPlateSpec(two_q / 2.0, alpha0, delta), f)
+    # array by scalar: numpy's complex product can differ in the last bit
+    # with the operand order, and takes a temporary map's product in place
+    e2 = azimuthal_phase(f.grid, two_q) * cmath.exp(2j * alpha0)
+    ref_ex, ref_ey = retard(delta, e2, f.ex, f.ey)
+    assert same_bits(out.ex, ref_ex)
+    assert same_bits(out.ey, ref_ey)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=ragged_n, seed=seeds, real=st.booleans())
+def test_blocked_vector_and_circular_fields_match_whole_grid_bits(n, seed,
+                                                                 real):
+    f = signed_zero_field(n, seed)
+    amp = f.ex.real.copy() if real else f.ex
+    rng = np.random.default_rng(seed)
+    pol = JonesVector(*(rng.standard_normal(2) @ [1.0, 1j] for _ in "xy"))
+    with ragged_blocks(n):
+        v = vector_field(ScalarField(f.grid, amp), pol)
+        psi = {hand: circular_component(f, hand).amp for hand in "LR"}
+    unit = pol.normalized()
+    assert same_bits(v.ex, unit.ex * amp)
+    assert same_bits(v.ey, unit.ey * amp)
+    for hand, i in (("L", -1j), ("R", 1j)):
+        ref = (f.ex + i * f.ey) * (1.0 / math.sqrt(2.0))
+        assert same_bits(psi[hand], ref), hand
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=ragged_n, seed=seeds)
+def test_blocked_stokes_maps_match_whole_grid_bits(n, seed):
+    f = signed_zero_field(n, seed)
+    with ragged_blocks(n):
+        got = stokes_maps(f)
+    ref = stokes_of(f)
+    for name in ("s0", "s1", "s2", "s3"):
+        assert same_bits(getattr(got, name), getattr(ref, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=ragged_n, seed=seeds, row=st.integers(0, 511),
+       col=st.integers(0, 511))
+@example(n=32, seed=0, row=31, col=0)    # in the partial last block
+@example(n=256, seed=1, row=255, col=255)
+def test_blocked_peaks_match_whole_grid_bits(n, seed, row, col):
+    """The |psi| peak of `topological_charge` and `interference_image`."""
+    f = signed_zero_field(n, seed)
+    amp = f.ex.copy()
+    amp[row % n, col % n] = 30.0 - 40.0j
+    s = ScalarField(f.grid, amp)
+    tilt = math.asin(8.0 * WAVELENGTH / f.grid.window)  # 8 fringes
+    with ragged_blocks(n):
+        peak = max_abs(amp)
+        image = interference_image(s, tilt)
+    assert peak == float(np.max(np.abs(amp))) == 50.0
+    assert same_bits(image, interference_image_whole(s, tilt))
