@@ -17,9 +17,8 @@ from .geomphase import (SpherePath, circle_path, geodesic_path,
                         jones_from_poincare, pancharatnam_cycle_phase,
                         qplate_k_path, solid_angle, srp_phase)
 from .interference import fringe_fork_count, interference_image
-from .polarization import (JonesMatrix, JonesVector, StokesVector, apply,
-                           jones_state, pancharatnam_phase, stokes_of,
-                           waveplate)
+from .polarization import (JonesVector, StokesVector, jones_state,
+                           pancharatnam_phase, stokes_of)
 from .propagation import (far_field, propagate, propagations,
                           second_moment_widths, stability_record)
 from .scenarios import frequency_shift_from_series, run_scenario, selftest

@@ -48,14 +48,9 @@ class Grid:
     def axis(self):
         return (np.arange(self.n) - self.n / 2 + 0.5) * self.pitch
 
-    def coords(self):
-        """Meshgrid (X, Y) of cell-centered coordinates."""
-        x = self.axis()
-        return np.meshgrid(x, x, indexing="xy")
-
     def polar(self):
         """Meshgrid (R, PHI) of polar coordinates."""
-        X, Y = self.coords()
+        X, Y = np.meshgrid(self.axis(), self.axis())
         return np.hypot(X, Y), np.arctan2(Y, X)
 
 
@@ -222,7 +217,8 @@ def elliptical_gaussian(grid, wx, wy, tilt=0.0):
     """Elliptical Gaussian with waists wx, wy along axes rotated by `tilt`."""
     _check_waist(grid, wx)
     _check_waist(grid, wy)
-    X, Y = grid.coords()
+    x = grid.axis()
+    X, Y = x[None, :], x[:, None]
     c, s = math.cos(tilt), math.sin(tilt)
     xr = c * X + s * Y
     yr = -s * X + c * Y
@@ -289,8 +285,7 @@ def vector_field(s, pol):
     """Uniformly polarized vector field: components pol * amp."""
     if isinstance(pol, JonesVector):
         pol = pol.normalized()
-    return VectorField(s.grid, *_by_rows(lambda a: (pol.ex * a, pol.ey * a),
-                                         s.amp))
+    return VectorField(s.grid, pol.ex * s.amp, pol.ey * s.amp)
 
 
 def circular_component(f, hand):

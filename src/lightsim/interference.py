@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .beams import max_abs
-from .errors import TiltTooSmall, UnresolvableFringes
+from .errors import TiltTooSmall, UnresolvableFringes, ZeroField
 
 MIN_FRINGES = 8
 MIN_SAMPLES_PER_FRINGE = 4
@@ -36,7 +36,7 @@ def interference_image(out, tilt):
             f"{MIN_SAMPLES_PER_FRINGE}")
     peak = max_abs(out.amp)
     if peak == 0.0:
-        raise ValueError("cannot interfere a zero field")
+        raise ZeroField("cannot interfere a zero field")
     img = np.abs(out.amp / peak + np.exp(1j * kx * grid.axis())) ** 2
     return img / img.max()
 

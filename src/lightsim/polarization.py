@@ -1,16 +1,16 @@
-"""Jones calculus for fully polarized paraxial light.
+"""Jones calculus for fully polarized paraxial light: Jones states, Stokes
+parameters and `retard`, a retarder's closed form on a state's components.
 
 Conventions (used consistently throughout the package):
 
 * time dependence exp(-i w t)
 * left circular |L> = (1, i)/sqrt(2), which has Stokes s3 = +1
-* retarders use the symmetric form R(a) diag(e^{-i d/2}, e^{+i d/2}) R(-a),
+* `retard` uses the symmetric form R(a) diag(e^{-i d/2}, e^{+i d/2}) R(-a),
   so Pancharatnam phases between input and output are meaningful
 * angles in radians; a phase arg(z) lies in (-pi, pi], an angle wrapped
   by `wrap_angle` in [-pi, pi)
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,7 +24,7 @@ class JonesVector:
     """Transverse polarization state (complex amplitudes ex, ey).
 
     ex and ey may also be equal-shaped arrays (pixel maps, time samples):
-    `apply`, `inner`, `stokes_of` and `retard` then act element by element.
+    `inner`, `stokes_of` and `retard` then act element by element.
     """
 
     ex: complex
@@ -42,16 +42,6 @@ class JonesVector:
     def inner(self, other):
         """Hermitian inner product <self|other>."""
         return self.ex.conjugate() * other.ex + self.ey.conjugate() * other.ey
-
-
-@dataclass(frozen=True)
-class JonesMatrix:
-    """2x2 complex matrix acting on Jones vectors."""
-
-    m00: complex
-    m01: complex
-    m10: complex
-    m11: complex
 
 
 @dataclass(frozen=True)
@@ -114,25 +104,6 @@ def retard(delta, e2, ex, ey):
     c2, s2 = e2.real, e2.imag
     return (ch * ex - jsh * (c2 * ex + s2 * ey),
             ch * ey - jsh * (s2 * ex - c2 * ey))
-
-
-def waveplate(retardance, axis_angle):
-    """Linear retarder: fast axis at `axis_angle`, retardance in radians.
-
-    M = R(a) diag(e^{-i d/2}, e^{+i d/2}) R(-a), the columns of which are
-    `retard` applied to the basis vectors.  Unitary for all arguments;
-    delta = pi gives a half-wave plate.
-    """
-    e2 = cmath.exp(2j * axis_angle)
-    m00, m10 = retard(retardance, e2, 1.0, 0.0)
-    m01, m11 = retard(retardance, e2, 0.0, 1.0)
-    return JonesMatrix(m00, m01, m10, m11)
-
-
-def apply(m, v):
-    """Apply a Jones matrix to a Jones vector."""
-    return JonesVector(m.m00 * v.ex + m.m01 * v.ey,
-                       m.m10 * v.ex + m.m11 * v.ey)
 
 
 def pancharatnam_phase(a, b):

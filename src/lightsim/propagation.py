@@ -20,14 +20,14 @@ import math
 import numpy as np
 
 from .analysis import oam_per_photon, topological_charge
-from .beams import Grid
+from .beams import Grid, max_abs
 from .errors import WindowTooSmall
 
 EDGE_INTENSITY_LIMIT = 1e-6
 
 
 def _check_edges(amp, where):
-    peak = float(np.max(np.abs(amp))) ** 2
+    peak = max_abs(amp) ** 2
     if peak == 0.0:
         return
     edge = max(float(np.max(np.abs(amp[0, :]) ** 2)),

@@ -24,8 +24,8 @@ from .constants import C_LIGHT, H_PLANCK, HBAR
 from .errors import ConfigError, LightsimError
 from .imageio import (write_csv, write_intensity_pgm, write_phase_pgm,
                       write_stokes_ppm)
-from .polarization import (JonesVector, StokesVector, apply, jones_state,
-                           stokes_of, waveplate, wrap_angle)
+from .polarization import (JonesVector, StokesVector, jones_state, retard,
+                           stokes_of, wrap_angle)
 
 INFO = float("inf")  # tolerance marker for informational rows
 
@@ -157,7 +157,7 @@ def _hwp_pair_output(omega, times):
     """|L> through a half-wave plate spinning at omega, then a fixed one."""
     spun = elements.rotating_waveplate_series(math.pi, omega, jones_state("L"),
                                               times)
-    return apply(waveplate(math.pi, 0.0), spun)
+    return JonesVector(*retard(math.pi, 1.0, spun.ex, spun.ey))
 
 
 def rotating_qplate_overlap_series(spec, f, omega, times):

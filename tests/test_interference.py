@@ -5,7 +5,7 @@ import pytest
 
 from lightsim import (Grid, ScalarField, fringe_fork_count, gaussian,
                       interference_image, laguerre_gaussian)
-from lightsim.errors import TiltTooSmall, UnresolvableFringes
+from lightsim.errors import TiltTooSmall, UnresolvableFringes, ZeroField
 
 WAVELENGTH = 632.8e-7  # cm
 WINDOW = 8.0
@@ -66,6 +66,6 @@ def test_unresolvable_fringes_raises():
 
 def test_zero_field_rejected():
     g = make_grid()
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroField):
         interference_image(ScalarField(g, np.zeros((g.n, g.n))),
                            tilt_for_fringes(10.25))

@@ -2,17 +2,17 @@
 
 Each reference below is the straightforward full-grid or per-element form
 (full-grid spline sampling, complex centered derivatives, arctan2 phases,
-a per-triangle loop, the Stokes map, the waveplate closed form, per-pixel
-and per-sample Jones calculus, the sum of squared magnitudes); the
-library's kernels must agree with it to roundoff.  The kernels built on
-one quadrant of the grid and mirrored (vortex phases, Gaussian and LG
-modes, the angular-spectrum transfer phase) must agree with their
-full-grid formulas bit for bit, signed zeros included, and so must the
-second-moment widths taken against broadcast axes and against the full
-meshgrid.  The pixel kernels evaluated by blocks of rows (the q-plate
-output, vector fields, circular components, Stokes maps and the |psi|
-peak) must agree bit for bit with their whole-map formulas, with blocks
-that end mid-grid.  scipy, which the library does not import, is the
+a per-triangle loop, the Stokes map, the waveplate closed form applied
+per pixel and per sample, the sum of squared magnitudes); the library's
+kernels must agree with it to roundoff.  The kernels built on one
+quadrant of the grid and mirrored (vortex phases, Gaussian and LG modes,
+the angular-spectrum transfer phase) must agree with their full-grid
+formulas bit for bit, signed zeros included, and so must the kernels
+evaluated against broadcast axes (second-moment widths, the elliptical
+Gaussian) with the full meshgrid.  The pixel kernels evaluated by blocks
+of rows (the q-plate output, circular components, Stokes maps and the
+|psi| peak) must agree bit for bit with their whole-map formulas, with
+blocks that end mid-grid.  scipy, which the library does not import, is the
 reference for its numpy replacements of find_peaks, eval_genlaguerre,
 correlate1d and map_coordinates.
 """
@@ -36,12 +36,12 @@ from scipy.special import eval_genlaguerre, factorial
 
 import lightsim
 from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
-                      VectorField, apply, circle_path, gaussian,
+                      VectorField, circle_path, elliptical_gaussian, gaussian,
                       geodesic_path, interference_image, jones_state,
                       laguerre_gaussian, oam_per_photon, propagate,
                       propagations, rotating_waveplate_series,
                       sam_per_photon, second_moment_widths, solid_angle,
-                      stokes_of, vector_field, waveplate)
+                      stokes_of, vector_field)
 from lightsim.analysis import CROP_MARGIN, _oam_scalar_sums, _sample_circle
 from lightsim.beams import (_genlaguerre, _unfold, azimuthal_phase,
                             circular_component, max_abs, overlap, sum_abs2)
@@ -94,7 +94,7 @@ def centered_derivative(a, pitch, axis):
 
 def oam_terms(s):
     """Per-pixel Im(psi* d_phi psi) from complex derivatives."""
-    X, Y = s.grid.coords()
+    X, Y = np.meshgrid(s.grid.axis(), s.grid.axis())
     dy = centered_derivative(s.amp, s.grid.pitch, axis=0)
     dx = centered_derivative(s.amp, s.grid.pitch, axis=1)
     return np.imag(np.conj(s.amp) * (X * dy - Y * dx))
@@ -164,7 +164,7 @@ def azimuthal_phase_full(grid, m, scale=None):
 
 
 def gaussian_full(grid, w0):
-    X, Y = grid.coords()
+    X, Y = np.meshgrid(grid.axis(), grid.axis())
     return np.exp(-(X ** 2 + Y ** 2) / w0 ** 2)
 
 
@@ -177,11 +177,6 @@ def laguerre_gaussian_full(grid, l, p, w0):
     return (norm * azimuthal_phase_full(grid, l, math.sqrt(2.0) / w0)
             * _genlaguerre(p, al, 2.0 * r2)
             * np.exp(-r2))
-
-
-def as_array(m):
-    """The 2x2 array of a JonesMatrix."""
-    return np.array([[m.m00, m.m01], [m.m10, m.m11]], dtype=complex)
 
 
 def waveplate_closed_form(delta, alpha):
@@ -452,7 +447,8 @@ def test_stokes_field_matches_stokes_of_per_pixel():
 def test_waveplate_matches_closed_form():
     rng = np.random.default_rng(7)
     for delta, alpha in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (200, 2)):
-        got = as_array(waveplate(delta, alpha))
+        # retard on the basis states: the Jones matrix, outputs as rows
+        got = np.array(retard(delta, cmath.exp(2j * alpha), *np.eye(2)))
         ref = waveplate_closed_form(delta, alpha)
         assert float(np.max(np.abs(got - ref))) <= 1e-15
 
@@ -481,9 +477,10 @@ def test_rotating_series_matches_per_sample_waveplate():
                              + 1j * rng.standard_normal(2))))
         times = np.arange(128) * (2.0 * math.pi / abs(omega)) / 96
         got = rotating_waveplate_series(delta, omega, v, times)
-        ref = [apply(waveplate(delta, omega * t), v) for t in times]
-        err = max(float(np.max(np.abs(got.ex - [r.ex for r in ref]))),
-                  float(np.max(np.abs(got.ey - [r.ey for r in ref]))))
+        ref = np.array([waveplate_closed_form(delta, omega * t) @ [v.ex, v.ey]
+                        for t in times])
+        err = max(float(np.max(np.abs(got.ex - ref[:, 0]))),
+                  float(np.max(np.abs(got.ey - ref[:, 1]))))
         assert err <= 1e-15 * v.norm()
 
 
@@ -554,14 +551,14 @@ def test_propagation_matches_masked_transfer(pitch):
                      propagate_masked_transfer(s.amp, g, z))
 
 
-# --- moment widths from broadcast axes ---
+# --- moment widths and the elliptical Gaussian from broadcast axes ---
 
 def second_moment_widths_meshgrid(s):
     """The principal widths with the moments taken against the full
-    `Grid.coords` meshgrid."""
+    meshgrid."""
     inten = sum(np.abs(c) ** 2 for c in s.components)
     total = float(inten.sum())
-    X, Y = s.grid.coords()
+    X, Y = np.meshgrid(s.grid.axis(), s.grid.axis())
     xm = float((inten * X).sum()) / total
     ym = float((inten * Y).sum()) / total
     xx = float((inten * (X - xm) ** 2).sum()) / total
@@ -590,6 +587,25 @@ def test_moment_widths_match_meshgrid_form(n, seed, vector):
     s = VectorField(g, *comps) if vector else ScalarField(g, *comps)
     assert same_bits(np.array(second_moment_widths(s)),
                      np.array(second_moment_widths_meshgrid(s)))
+
+
+def elliptical_gaussian_meshgrid(grid, wx, wy, tilt):
+    X, Y = np.meshgrid(grid.axis(), grid.axis())
+    c, s = math.cos(tilt), math.sin(tilt)
+    xr = c * X + s * Y
+    yr = -s * X + c * Y
+    return np.exp(-xr ** 2 / wx ** 2 - yr ** 2 / wy ** 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(17, 96).map(lambda k: 2 * k),
+       fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
+       tilt=st.floats(-math.pi, math.pi))
+def test_elliptical_gaussian_matches_meshgrid_form(n, fx, fy, tilt):
+    g = make_grid(n)
+    wx, wy = (waist(g, f) for f in (fx, fy))
+    assert same_bits(elliptical_gaussian(g, wx, wy, tilt).amp,
+                     elliptical_gaussian_meshgrid(g, wx, wy, tilt))
 
 
 # --- quadrant kernels, mirrored ---
@@ -713,19 +729,11 @@ def test_blocked_qplate_matches_whole_grid_bits(n, seed, two_q, alpha0, delta):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=ragged_n, seed=seeds, real=st.booleans())
-def test_blocked_vector_and_circular_fields_match_whole_grid_bits(n, seed,
-                                                                 real):
+@given(n=ragged_n, seed=seeds)
+def test_blocked_circular_fields_match_whole_grid_bits(n, seed):
     f = signed_zero_field(n, seed)
-    amp = f.ex.real.copy() if real else f.ex
-    rng = np.random.default_rng(seed)
-    pol = JonesVector(*(rng.standard_normal(2) @ [1.0, 1j] for _ in "xy"))
     with ragged_blocks(n):
-        v = vector_field(ScalarField(f.grid, amp), pol)
         psi = {hand: circular_component(f, hand).amp for hand in "LR"}
-    unit = pol.normalized()
-    assert same_bits(v.ex, unit.ex * amp)
-    assert same_bits(v.ey, unit.ey * amp)
     for hand, i in (("L", -1j), ("R", 1j)):
         ref = (f.ex + i * f.ey) * (1.0 / math.sqrt(2.0))
         assert same_bits(psi[hand], ref), hand
