@@ -175,17 +175,22 @@ def azimuthal_spectrum(s, r):
     return {int(l): float(pw) / total for l, pw in zip(ls, power)}
 
 
-def topological_charge(s, loop_radius):
-    """Phase winding of psi around a centered circle of 720 samples (exact
-    integer)."""
-    vals = _sample_circle(s.grid, s.amp, loop_radius, 720)
-    peak = max_abs(s.amp)
+def loop_winding(vals, peak, loop_radius):
+    """Phase winding (exact integer) of the closed loop of field samples
+    `vals`; LoopThroughZero if one is within 1e-9 * `peak` of zero."""
     if np.min(np.abs(vals)) <= 1e-9 * peak:
         raise LoopThroughZero(
             f"loop at r={loop_radius:g} passes within 1e-9 of a field zero")
     angles = np.angle(vals)
     steps = wrap_angle(np.diff(np.concatenate([angles, angles[:1]])))
     return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
+
+
+def topological_charge(s, loop_radius):
+    """Phase winding of psi around a centered circle of 720 samples (exact
+    integer)."""
+    vals = _sample_circle(s.grid, s.amp, loop_radius, 720)
+    return loop_winding(vals, max_abs(s.amp), loop_radius)
 
 
 def energy_density(e, b):

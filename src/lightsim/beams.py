@@ -148,11 +148,11 @@ _BLOCK = 1 << 14
 
 
 def _by_rows(fn, *maps):
-    """fn(*maps) for a pixelwise `fn` of n x n maps that returns arrays
-    indexed by row first, run on blocks of rows into full results; these
-    are fn(*maps) bit for bit, as a pixelwise formula is blockwise too."""
+    """fn(*maps) for an `fn` that treats each row of 2-D maps alone and
+    returns arrays indexed by row first, run on blocks of rows into full
+    results: fn(*maps) bit for bit when `fn` is a pixelwise formula."""
     n = len(maps[0])
-    step = max(1, _BLOCK // n)
+    step = max(1, _BLOCK // maps[0].shape[1])
     outs = None
     for r in range(0, n, step):
         got = fn(*(m[r:r + step] for m in maps))

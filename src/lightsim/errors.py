@@ -81,7 +81,8 @@ class WindowTooSmall(LightsimError):
 # -- interference ------------------------------------------------------------
 
 class TiltTooSmall(LightsimError):
-    """Reference tilt produces too few fringes across the window."""
+    """Reference tilt produces too few fringes across the window, or too
+    slow a carrier, |k_x| * loop radius, for the fork reader's loop."""
 
 
 class UnresolvableFringes(LightsimError):

@@ -368,19 +368,14 @@ def _scenario_photon_partition(cfg, outdir, rng):
 
 
 def _scenario_interference_fork(cfg, outdir, rng):
-    beam = build_beam(cfg)
-    tilt = cfg["interference"]["tilt"]
+    beam, tilt = build_beam(cfg), cfg["interference"]["tilt"]
     image = interference.interference_image(beam, tilt)
-    count = interference.fringe_fork_count(image)
-    if tilt < 0.0:  # a reference tilted the other way mirrors the fork
-        count = -count
+    count = interference.fringe_fork_count(image, beam.grid, tilt,
+                                           beam_waist(cfg["beam"]))
     charge = analysis.topological_charge(beam, beam_waist(cfg["beam"]))
-    rows = [
-        SummaryRow(cfg.name, "fork_count", count, charge, 0.0),
-    ]
     if outdir is not None:
         write_intensity_pgm(outdir / "interferogram.pgm", image)
-    return rows
+    return [SummaryRow(cfg.name, "fork_count", count, charge, 0.0)]
 
 
 def _scenario_rotating_hwp_pair(cfg, outdir, rng):
@@ -557,17 +552,11 @@ def _selftest_configs(n):
             rotation={"omega": 1.0}),
     ]
     # interference forks: 20 synthesized charges in {-3..3}
-    for l in range(-3, 4):
-        configs.append(cfg("interference_fork", grid=grid,
-                           beam={"kind": "lg", "l": l, "w0": w0},
-                           interference={"tilt": tilt}))
-        configs.append(cfg("interference_fork", grid=grid,
-                           beam={"kind": "vortex", "l": l, "w0": w0},
-                           interference={"tilt": tilt}))
-    for l in (-3, -2, -1, 1, 2, 3):
-        configs.append(cfg("interference_fork", grid=grid,
-                           beam={"kind": "vortex", "l": l, "w0": 0.75 * w0},
-                           interference={"tilt": tilt}))
+    forks = [(kind, l, w0) for l in range(-3, 4) for kind in ("lg", "vortex")]
+    forks += [("vortex", l, 0.75 * w0) for l in (-3, -2, -1, 1, 2, 3)]
+    configs += [cfg("interference_fork", grid=grid,
+                    beam={"kind": kind, "l": l, "w0": w},
+                    interference={"tilt": tilt}) for kind, l, w in forks]
     # propagation: half the waist, so the expanded beams stay off the edge
     pw0 = window / 16.0
     for l in (-2, -1, 1, 2):

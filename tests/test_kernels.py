@@ -13,8 +13,8 @@ Gaussian) with the full meshgrid.  The pixel kernels evaluated by blocks
 of rows (the q-plate output, circular components, Stokes maps and the
 |psi| peak) must agree bit for bit with their whole-map formulas, with
 blocks that end mid-grid.  scipy, which the library does not import, is the
-reference for its numpy replacements of find_peaks, eval_genlaguerre,
-correlate1d and map_coordinates.
+reference for its numpy replacements of eval_genlaguerre, correlate1d and
+map_coordinates.
 """
 
 import cmath
@@ -31,7 +31,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import correlate1d, map_coordinates
-from scipy.signal import find_peaks
 from scipy.special import eval_genlaguerre, factorial
 
 import lightsim
@@ -48,7 +47,6 @@ from lightsim.beams import (_genlaguerre, _unfold, azimuthal_phase,
 from lightsim.elements import apply_qplate
 from lightsim.geomphase import _fan_apex
 from lightsim.imageio import write_stokes_ppm
-from lightsim.interference import _count_maxima
 from lightsim.polarization import retard
 from lightsim.scenarios import build_scalar_beam, stokes_maps
 
@@ -314,17 +312,6 @@ def test_genlaguerre_is_bit_identical_to_scipy(p, l, x):
     ref = eval_genlaguerre(p, abs(l), x)
     got = np.broadcast_to(_genlaguerre(p, abs(l), x), ref.shape)
     assert np.array_equal(got, ref)
-
-
-# --- fork-fringe maxima ---
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 3), max_size=40))
-@example([0, 1, 1, 0, 2, 2, 2, 1, 3, 0, 0, 5, 5])  # 3; the edge plateau is none
-def test_maxima_count_matches_find_peaks(row):
-    # a small alphabet makes plateaus, inside and at the edges, common
-    row = np.array(row, dtype=float)
-    assert _count_maxima(row) == len(find_peaks(row)[0])
 
 
 # --- numpy alone at import ---
