@@ -129,6 +129,12 @@ def _spline_taps(x, m):
     return np.where(idx > m - 1, 2 * (m - 1) - idx, idx), weights
 
 
+def crop_offset(grid, radius):
+    """First row and column of the centered crop `_sample_circle` reads."""
+    return max(0, math.floor(grid.n / 2 - 0.5 - radius / grid.pitch)
+               - CROP_MARGIN)
+
+
 def _sample_circle(grid, arr, radius, samples):
     """Interpolate `arr` on a centered circle; returns values at `samples`
     uniformly spaced azimuths in [0, 2 pi).
@@ -143,7 +149,7 @@ def _sample_circle(grid, arr, radius, samples):
         raise RadiusOutOfGrid(f"radius {radius:g} outside (0, {half:g})")
     theta = 2.0 * math.pi * np.arange(samples) / samples
     center = grid.n / 2 - 0.5
-    lo = max(0, math.floor(center - radius / grid.pitch) - CROP_MARGIN)
+    lo = crop_offset(grid, radius)
     crop = arr[lo:grid.n - lo, lo:grid.n - lo]
     # prefilter axis 0 of a C-contiguous real view, then of the transposed
     # copy, so the coefficients are indexed [column, row]
@@ -186,11 +192,22 @@ def loop_winding(vals, peak, loop_radius):
     return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
 
 
-def topological_charge(s, loop_radius):
+def topological_charge(s, loop_radius, bound=None, peak=None):
     """Phase winding of psi around a centered circle of 720 samples (exact
-    integer)."""
+    integer).  The loop check's peak max |psi| is `peak()`, by default that
+    of `s`; it is not computed when the samples clear 1e-9 of a `bound` on
+    it from above.  A phase step above pi/2 between samples is also a
+    LoopThroughZero: the loop skirts a zero, and such steps alias (read
+    loops step at most 0.33 rad, those beside a radial node 2-3 rad)."""
     vals = _sample_circle(s.grid, s.amp, loop_radius, 720)
-    return loop_winding(vals, max_abs(s.amp), loop_radius)
+    if bound is None or np.min(np.abs(vals)) <= 1e-9 * bound:
+        bound = peak() if peak else max_abs(s.amp)
+    charge = loop_winding(vals, bound, loop_radius)
+    step = float(np.max(np.abs(np.angle(np.roll(vals, -1) * vals.conj()))))
+    if step > math.pi / 2.0:
+        raise LoopThroughZero(f"loop at r={loop_radius:g} steps {step:.3g} "
+                              "rad in phase between samples, above pi/2")
+    return charge
 
 
 def energy_density(e, b):

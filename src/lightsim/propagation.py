@@ -30,10 +30,8 @@ def _check_edges(amp, where):
     peak = max_abs(amp) ** 2
     if peak == 0.0:
         return
-    edge = max(float(np.max(np.abs(amp[0, :]) ** 2)),
-               float(np.max(np.abs(amp[-1, :]) ** 2)),
-               float(np.max(np.abs(amp[:, 0]) ** 2)),
-               float(np.max(np.abs(amp[:, -1]) ** 2)))
+    edge = max(float(np.max(np.abs(line) ** 2))
+               for line in (amp[0, :], amp[-1, :], amp[:, 0], amp[:, -1]))
     if edge > EDGE_INTENSITY_LIMIT * peak:
         raise WindowTooSmall(
             f"edge intensity {edge / peak:.2e} of peak at the {where} plane "

@@ -236,18 +236,27 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
 def _scenario_generalized_charge(cfg, outdir, rng):
     base = build_beam(cfg)
     l, loop_radius = beam_charge(cfg["beam"]), beam_waist(cfg["beam"])
-    # (input hand, sign of the charge, field), built once; each output
-    # field lives only inside the one expression that reads its charge
-    inputs = [(kind, sign, beams.vector_field(base, jones_state(kind)))
-              for kind, sign in (("L", 1.0), ("R", -1.0))]
+    # The chain is pixelwise, and a crop's cell-centered axis is the slice
+    # of the full one: on the crop the circle reader samples, it gives the
+    # loop samples of the full grid bit for bit.
+    n, lo = base.grid.n, analysis.crop_offset(base.grid, loop_radius)
+    crop = beams.ScalarField(replace(base.grid, n=n - 2 * lo),
+                             base.amp[lo:n - lo, lo:n - lo])
+    # unitary plate, projection on a unit state: |psi_out| <= |E_in| per
+    # pixel, padded far above the chain's rounding
+    bound = beams.max_abs(base.amp) * (1.0 + 1e-12)
     rows = []
     for two_q in (-4, -2, -1, 1, 2, 4):
         spec = elements.QPlateSpec(two_q / 2.0)
-        for kind, sign, field in inputs:
+        for kind, sign in (("L", 1.0), ("R", -1.0)):
+            def converted(s):
+                return beams.circular_component(elements.apply_qplate(
+                    spec, beams.vector_field(s, jones_state(kind))),
+                    "R" if sign > 0 else "L")
+            # the whole grid's peak only where the bound leaves it open
             charge = analysis.topological_charge(
-                beams.circular_component(elements.apply_qplate(spec, field),
-                                         "R" if sign > 0 else "L"),
-                loop_radius)
+                converted(crop), loop_radius, bound,
+                lambda: beams.max_abs(converted(base).amp))
             rows.append(SummaryRow(
                 cfg.name, f"charge_2q={two_q}_{kind}",
                 charge, l + sign * two_q, 0.0))
@@ -331,17 +340,11 @@ def _scenario_plane_wave_identity(cfg, outdir, rng):
     rows = []
     phases = 2.0 * math.pi * np.arange(64) / 64.0
     for kind in ("linear", "circular", "elliptical"):
-        u_avg = 0.0
-        g_avg = np.zeros(3)
-        b_frac = 0.0
-        for ph in phases:
-            e, b = beams.plane_wave_em(1.0, kind, ph)
-            u_avg += analysis.energy_density(e, b)
-            g_avg = g_avg + analysis.momentum_density(e, b)
-            b_frac += analysis.magnetic_energy_fraction(e, b)
-        u_avg /= len(phases)
-        g_avg /= len(phases)
-        b_frac /= len(phases)
+        ems = [beams.plane_wave_em(1.0, kind, ph) for ph in phases]
+        u_avg, g_avg, b_frac = (
+            sum(f(e, b) for e, b in ems) / len(ems)
+            for f in (analysis.energy_density, analysis.momentum_density,
+                      analysis.magnetic_energy_fraction))
         ratio = u_avg / (float(np.linalg.norm(g_avg)) * C_LIGHT)
         rows.append(SummaryRow(name, f"u_over_gc_{kind}", ratio, 1.0, 1e-12))
         rows.append(SummaryRow(name, f"magnetic_fraction_{kind}",

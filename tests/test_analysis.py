@@ -156,6 +156,36 @@ def test_topological_charge_rejects_zero_loop():
         topological_charge(ScalarField(g, a.amp + b.amp), 1.0)
 
 
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("l, p", [(2, 2), (-2, 2), (1, 1)])
+def test_topological_charge_rejects_loop_on_radial_node(n, l, p):
+    # the loop of radius w0 lies on (p = 2, |l| = 2) or near (p = 1) a
+    # radial node; its samples stay above 1e-9 of the peak, but their phase
+    # steps by 2-3 rad, and the sum of those steps read l = 2, p = 2 as -18
+    # at n = 128 and -14 at n = 256
+    s = laguerre_gaussian(make_grid(n), l, p, 1.0)
+    with pytest.raises(LoopThroughZero, match=r"steps [\d.]+ rad"):
+        topological_charge(s, 1.0)
+
+
+def test_topological_charge_asks_for_the_peak_only_past_the_bound():
+    s = laguerre_gaussian(make_grid(128), 2, 0, 1.0)
+    peak = float(np.max(np.abs(s.amp)))
+    calls = []
+
+    def exact():
+        calls.append(peak)
+        return peak
+
+    assert topological_charge(s, 1.0, peak, exact) == 2
+    assert calls == []
+    # a bound the samples do not clear leaves the check to the exact peak
+    assert topological_charge(s, 1.0, 1e12 * peak, exact) == 2
+    assert calls == [peak]
+    with pytest.raises(LoopThroughZero):
+        topological_charge(s, 1.0, 1e12 * peak, lambda: 1e12 * peak)
+
+
 # --- energy and momentum densities ---
 
 def test_energy_density_plug_in():

@@ -12,9 +12,11 @@ evaluated against broadcast axes (second-moment widths, the elliptical
 Gaussian) with the full meshgrid.  The pixel kernels evaluated by blocks
 of rows (the q-plate output, circular components, Stokes maps and the
 |psi| peak) must agree bit for bit with their whole-map formulas, with
-blocks that end mid-grid.  scipy, which the library does not import, is the
-reference for its numpy replacements of eval_genlaguerre, correlate1d and
-map_coordinates.
+blocks that end mid-grid.  `generalized_charge`, which runs its q-plate
+chain on the crop its circle reader samples, must give the loop samples,
+rows and errors of the chain on the whole grid bit for bit.  scipy, which
+the library does not import, is the reference for its numpy replacements
+of eval_genlaguerre, correlate1d and map_coordinates.
 """
 
 import cmath
@@ -41,14 +43,20 @@ from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       propagations, rotating_waveplate_series,
                       sam_per_photon, second_moment_widths, solid_angle,
                       stokes_of, vector_field)
-from lightsim.analysis import CROP_MARGIN, _oam_scalar_sums, _sample_circle
+from lightsim.analysis import (CROP_MARGIN, _oam_scalar_sums, _sample_circle,
+                               topological_charge)
 from lightsim.beams import (_genlaguerre, _unfold, azimuthal_phase,
                             circular_component, max_abs, overlap, sum_abs2)
+from lightsim.config import validate
 from lightsim.elements import apply_qplate
+from lightsim.errors import LightsimError
 from lightsim.geomphase import _fan_apex
 from lightsim.imageio import write_stokes_ppm
 from lightsim.polarization import retard
-from lightsim.scenarios import build_scalar_beam, stokes_maps
+from lightsim.scenarios import (SCENARIOS, SummaryRow,
+                                _scenario_generalized_charge, beam_charge,
+                                beam_waist, build_beam, build_scalar_beam,
+                                stokes_maps)
 
 WAVELENGTH = 632.8e-7
 
@@ -754,3 +762,85 @@ def test_blocked_peaks_match_whole_grid_bits(n, seed, row, col):
         image = interference_image(s, tilt)
     assert peak == float(np.max(np.abs(amp))) == 50.0
     assert same_bits(image, interference_image_whole(s, tilt))
+
+
+
+# --- generalized_charge on the crop its circle reader samples ---
+
+GC_GRID = {"window": 8e-3, "wavelength": 632.8e-9}
+GC_SCHEMAS = SCENARIOS["generalized_charge"][0]
+
+
+@st.composite
+def generalized_charge_sections(draw):
+    n = draw(st.integers(32, 256).map(lambda k: 2 * k))
+    g = Grid(n, GC_GRID["window"] / n, GC_GRID["wavelength"])
+    kind = draw(st.sampled_from(["gaussian", "elliptical", "vortex", "lg"]))
+    beam = {"kind": kind}
+    if kind == "elliptical":
+        beam.update(wx=waist(g, draw(st.floats(0.0, 1.0))),
+                    wy=waist(g, draw(st.floats(0.0, 1.0))),
+                    tilt=draw(st.floats(-math.pi, math.pi)))
+    else:
+        beam["w0"] = waist(g, draw(st.floats(0.0, 1.0)))
+    if kind in ("vortex", "lg"):
+        beam["l"] = draw(st.integers(-10, 10))
+    if kind == "lg":
+        beam["p"] = draw(st.integers(0, 5))
+    return {"grid": dict(GC_GRID, n=n), "beam": beam}
+
+
+def recorded_loops(run):
+    """(the loop samples `topological_charge` read during run(), run()'s
+    result, and the class and message of the LightsimError it raised)."""
+    loops = []
+
+    def sample(*args):
+        loops.append(_sample_circle(*args))
+        return loops[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lightsim.analysis, "_sample_circle", sample)
+        try:
+            return loops, run(), None
+        except LightsimError as exc:
+            return loops, None, f"{type(exc).__name__}: {exc}"
+
+
+def generalized_charge_whole_grid(cfg):
+    """The rows of `generalized_charge` with each q-plate output built on
+    the whole grid and its loop checked against its own peak."""
+    base = build_beam(cfg)
+    l, r = beam_charge(cfg["beam"]), beam_waist(cfg["beam"])
+    rows = []
+    for two_q in (-4, -2, -1, 1, 2, 4):
+        for kind, sign in (("L", 1.0), ("R", -1.0)):
+            out = apply_qplate(QPlateSpec(two_q / 2.0),
+                               vector_field(base, jones_state(kind)))
+            psi = circular_component(out, "R" if sign > 0 else "L")
+            rows.append(SummaryRow(cfg.name, f"charge_2q={two_q}_{kind}",
+                                   topological_charge(psi, r),
+                                   l + sign * two_q, 0.0))
+    return rows
+
+
+def lg_sections(n, l, p, w0):
+    return {"grid": dict(GC_GRID, n=n),
+            "beam": {"kind": "lg", "l": l, "p": p, "w0": w0}}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sections=generalized_charge_sections())
+@example(sections=lg_sections(128, 2, 2, 1e-3))   # loops on a radial node
+@example(sections=lg_sections(256, 2, 2, 1e-3))
+@example(sections=lg_sections(512, 1, 1, 1e-3))   # within 1e-9 of a zero
+@example(sections=lg_sections(512, -10, 0, 1e-3))  # ring outside the crop
+def test_generalized_charge_on_crop_matches_whole_grid_bits(sections):
+    """Every 2q and hand of the scenario: the same loop samples, rows and
+    error as the chain on the whole grid."""
+    cfg = validate("generalized_charge", sections, GC_SCHEMAS)
+    got = recorded_loops(lambda: _scenario_generalized_charge(cfg, None, None))
+    ref = recorded_loops(lambda: generalized_charge_whole_grid(cfg))
+    assert len(got[0]) == len(ref[0])
+    assert all(same_bits(a, b) for a, b in zip(got[0], ref[0]))
+    assert got[1:] == ref[1:]

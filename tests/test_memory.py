@@ -5,8 +5,10 @@ The traced peak (tracemalloc, which sees numpy's array allocations) of one
 n = 512 `qplate_conversion` measured 6.0 maps, against 7.5 when the q-plate
 output, its Stokes maps and its circular component were each evaluated on
 whole maps, and 15.2 when both input and output fields, both Stokes sets
-and both circular components were kept; `generalized_charge` measured 8.0,
-against 9.5 on whole maps; `propagation_stability` measured 5.7, against
+and both circular components were kept; `generalized_charge` measured 1.75
+(2.08 for LG l = 3), against 8.0 when each q-plate output was built on the
+whole grid instead of the crop its loop is sampled from, and 9.5 on whole
+maps; `propagation_stability` measured 5.7, against
 6.6 when the semigroup row propagated the beam a second time and each 2-D
 FFT allocated its intermediate, and 7.1 with one transfer function and
 forward FFT per distance; `interference_fork` (LG l = -3) measured 3.2,
@@ -52,7 +54,7 @@ def peak_in_maps(name, sections, outdir):
      6.0),
     ("generalized_charge",
      {"grid": GRID, "beam": {"kind": "gaussian", "w0": WINDOW / 8.0}},
-     8.5),
+     3.0),
     ("interference_fork",
      {"grid": GRID, "beam": {"kind": "lg", "l": -3, "w0": WINDOW / 8.0},
       "interference": {"tilt": math.asin(10.25 * WAVELENGTH / WINDOW)}},
