@@ -8,11 +8,11 @@ Gaussian units.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beams import _dot, max_abs, sum_abs2
+from .beams import ScalarField, max_abs, overlap, sum_abs2
 from .constants import C_LIGHT, H_PLANCK
 from .errors import (LoopThroughZero, NonpositiveFrequency, RadiusOutOfGrid,
                      ZeroEnergy, ZeroField)
@@ -35,13 +35,12 @@ def sam_per_photon(f):
     """Intensity-weighted spin helicity: sum(s3)/sum(s0), in [-1, 1].
 
     sum(s3) = 2 Im<ex|ey> and sum(s0) = <ex|ex> + <ey|ey>, so no Stokes
-    map is built; Im<ex|ey> is summed alone, as `overlap` sums it.
+    map is built.
     """
     total = sum_abs2(f.ex) + sum_abs2(f.ey)
     if total <= 0.0:
         raise ZeroField("SAM undefined for a zero-power field")
-    ar, ai, br, bi = f.ex.real, f.ex.imag, f.ey.real, f.ey.imag
-    return 2.0 * float(_dot(ar, bi) - _dot(ai, br)) / total
+    return 2.0 * overlap(f.ex, f.ey).imag / total
 
 
 # Sixth-order centered first derivative, in units of 1/pitch:
@@ -129,36 +128,38 @@ def _spline_taps(x, m):
     return np.where(idx > m - 1, 2 * (m - 1) - idx, idx), weights
 
 
-def crop_offset(grid, radius):
-    """First row and column of the centered crop `_sample_circle` reads."""
-    return max(0, math.floor(grid.n / 2 - 0.5 - radius / grid.pitch)
-               - CROP_MARGIN)
-
-
-def _sample_circle(grid, arr, radius, samples):
-    """Interpolate `arr` on a centered circle; returns values at `samples`
-    uniformly spaced azimuths in [0, 2 pi).
-
-    Cubic B-spline interpolation on a crop around the circle: the recursive
-    prefilter with pole sqrt(3) - 2 and a mirror boundary (Unser, "Splines:
-    a perfect fit for signal and image processing", IEEE Signal Processing
-    Magazine 16(6):22, 1999), then the 4 x 4 B-spline weights at each sample.
-    """
-    half = grid.window / 2.0 - grid.pitch
+def loop_crop(s, radius):
+    """The centered crop of the scalar field `s` that a circle of `radius`
+    is read from: the circle plus `CROP_MARGIN`, clipped to the grid."""
+    g = s.grid
+    half = g.window / 2.0 - g.pitch
     if not (0.0 < radius < half):
         raise RadiusOutOfGrid(f"radius {radius:g} outside (0, {half:g})")
+    lo = max(0, math.floor(g.n / 2 - 0.5 - radius / g.pitch) - CROP_MARGIN)
+    return ScalarField(replace(g, n=g.n - 2 * lo),
+                       s.amp[lo:g.n - lo, lo:g.n - lo])
+
+
+def _sample_circle(s, radius, samples):
+    """Interpolate the scalar field `s` on a centered circle; returns values
+    at `samples` uniformly spaced azimuths in [0, 2 pi).
+
+    Cubic B-spline interpolation on `loop_crop`: the recursive prefilter
+    with pole sqrt(3) - 2 and a mirror boundary (Unser, "Splines: a perfect
+    fit for signal and image processing", IEEE Signal Processing Magazine
+    16(6):22, 1999), then the 4 x 4 B-spline weights at each sample.
+    """
+    crop = loop_crop(s, radius)
+    a, g = crop.amp, crop.grid
     theta = 2.0 * math.pi * np.arange(samples) / samples
-    center = grid.n / 2 - 0.5
-    lo = crop_offset(grid, radius)
-    crop = arr[lo:grid.n - lo, lo:grid.n - lo]
     # prefilter axis 0 of a C-contiguous real view, then of the transposed
     # copy, so the coefficients are indexed [column, row]
-    coef = np.array(crop, dtype=complex if np.iscomplexobj(crop) else float)
+    coef = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
     _spline_prefilter(coef.view(float))
     coef = np.ascontiguousarray(coef.T)
     _spline_prefilter(coef.view(float))
-    coords = radius / grid.pitch * np.vstack([np.sin(theta), np.cos(theta)])
-    (rows, cols), (wr, wc) = _spline_taps(coords + (center - lo), len(coef))
+    coords = radius / g.pitch * np.vstack([np.sin(theta), np.cos(theta)])
+    (rows, cols), (wr, wc) = _spline_taps(coords + (g.n / 2 - 0.5), len(coef))
     taps = coef[cols[:, None, :], rows[:, :, None]]
     return np.einsum("sa,sab,sb->s", wr, taps, wc)
 
@@ -171,7 +172,7 @@ def azimuthal_spectrum(s, r):
     are invariant under global phase.
     """
     samples = 512
-    vals = _sample_circle(s.grid, s.amp, r, samples)
+    vals = _sample_circle(s, r, samples)
     c = np.fft.fft(vals) / samples
     power = np.abs(c) ** 2
     total = float(np.sum(power))
@@ -192,17 +193,15 @@ def loop_winding(vals, peak, loop_radius):
     return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
 
 
-def topological_charge(s, loop_radius, bound=None, peak=None):
+def topological_charge(s, loop_radius, peak=None):
     """Phase winding of psi around a centered circle of 720 samples (exact
-    integer).  The loop check's peak max |psi| is `peak()`, by default that
-    of `s`; it is not computed when the samples clear 1e-9 of a `bound` on
-    it from above.  A phase step above pi/2 between samples is also a
-    LoopThroughZero: the loop skirts a zero, and such steps alias (read
-    loops step at most 0.33 rad, those beside a radial node 2-3 rad)."""
-    vals = _sample_circle(s.grid, s.amp, loop_radius, 720)
-    if bound is None or np.min(np.abs(vals)) <= 1e-9 * bound:
-        bound = peak() if peak else max_abs(s.amp)
-    charge = loop_winding(vals, bound, loop_radius)
+    integer); LoopThroughZero if a sample is within 1e-9 of `peak`, by
+    default max |psi| of `s`.  A phase step above pi/2 between samples is
+    also a LoopThroughZero: the loop skirts a zero, and such steps alias
+    (read loops step at most 0.33 rad, those beside a radial node 2-3 rad)."""
+    vals = _sample_circle(s, loop_radius, 720)
+    charge = loop_winding(vals, max_abs(s.amp) if peak is None else peak,
+                          loop_radius)
     step = float(np.max(np.abs(np.angle(np.roll(vals, -1) * vals.conj()))))
     if step > math.pi / 2.0:
         raise LoopThroughZero(f"loop at r={loop_radius:g} steps {step:.3g} "

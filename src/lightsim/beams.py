@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, WaistOutOfRange
-from .polarization import JonesVector
 
 MAX_L = 10
 MAX_P = 5
@@ -226,8 +225,8 @@ def elliptical_gaussian(grid, wx, wy, tilt=0.0):
 
 
 def _vortex(x, y, m, scale):
-    """exp(i m phi) at the points (x, y), or (scale r)^|m| exp(i m phi)
-    with a `scale`; see `azimuthal_phase`."""
+    """exp(i m phi) at the points (x, y), as ((x + i sgn(m) y)/r)^|m|; with
+    a `scale`, ((x + i sgn(m) y) scale)^|m| = (scale r)^|m| exp(i m phi)."""
     z = x + (1j if m > 0 else -1j) * y
     if scale is None:
         z /= np.abs(z)
@@ -236,10 +235,9 @@ def _vortex(x, y, m, scale):
     return z ** abs(m)
 
 
-def azimuthal_phase(grid, m, scale=None):
-    """exp(i m phi) as ((x + i sgn(m) y)/r)^|m|, with no arctan2; with a
-    `scale`, ((x + i sgn(m) y) scale)^|m| = (scale r)^|m| exp(i m phi)."""
-    return _mirrored(lambda x, y: _vortex(x, y, m, scale), grid, m)
+def azimuthal_phase(grid, m):
+    """exp(i m phi) as ((x + i sgn(m) y)/r)^|m|, with no arctan2."""
+    return _mirrored(lambda x, y: _vortex(x, y, m, None), grid, m)
 
 
 def _genlaguerre(n, alpha, x):
@@ -283,8 +281,7 @@ def laguerre_gaussian(grid, l, p, w0):
 
 def vector_field(s, pol):
     """Uniformly polarized vector field: components pol * amp."""
-    if isinstance(pol, JonesVector):
-        pol = pol.normalized()
+    pol = pol.normalized()
     return VectorField(s.grid, pol.ex * s.amp, pol.ey * s.amp)
 
 

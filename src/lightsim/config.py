@@ -37,22 +37,14 @@ def _parse_float_list(value):
     return [_parse_float(v) for v in value]
 
 
-# Each parser takes INI text or an already typed value and raises
-# ValueError or TypeError on anything else.
-PARSERS = {
-    "float": _parse_float,
-    "int": _parse_int,
-    "str": str.strip,
-    "float_list": _parse_float_list,
-}
-
-
 @dataclass
 class Key:
-    """One key; `check` is (predicate, message) on its parsed value."""
+    """One key: `parse` takes INI text or an already typed value (a float
+    by default) and raises ValueError or TypeError on anything else;
+    `check` is (predicate, message) on its parsed value."""
 
     name: str
-    kind: str = "float"
+    parse: object = _parse_float
     required: bool = False
     default: object = None
     check: tuple = None
@@ -74,22 +66,22 @@ BEAM_WAIST_KEYS = {"gaussian": ("w0",), "elliptical": ("wx", "wy"),
 
 GRID_SECTION = SectionSchema("grid", [
     # n > 0 for the pitch, n <= 8192 (a 1 GiB map); Grid checks the rest
-    Key("n", "int", default=512,
+    Key("n", _parse_int, default=512,
         check=(lambda n: 0 < n <= 8192, "must be in 1..8192")),
-    Key("window", "float", required=True),
-    Key("wavelength", "float", required=True),
+    Key("window", required=True),
+    Key("wavelength", required=True),
 ], required=True)
 
 BEAM_SECTION = SectionSchema("beam", [
-    Key("kind", "str", required=True,
+    Key("kind", str.strip, required=True,
         check=(BEAM_WAIST_KEYS.__contains__,
                f"must be one of {', '.join(BEAM_WAIST_KEYS)}")),
-    Key("w0", "float"),
-    Key("wx", "float"),
-    Key("wy", "float"),
-    Key("tilt", "float", default=0.0),
-    Key("l", "int", default=0),
-    Key("p", "int", default=0),
+    Key("w0"),
+    Key("wx"),
+    Key("wy"),
+    Key("tilt", default=0.0),
+    Key("l", _parse_int, default=0),
+    Key("p", _parse_int, default=0),
 ], required=True, check=(
     lambda b: all(k in b for k in BEAM_WAIST_KEYS[b["kind"]]),
     "; ".join(f"{kind} needs {', '.join(keys)}"
@@ -102,38 +94,39 @@ LG_SWEEP_BEAM_SECTION = replace(BEAM_SECTION, check=(
 
 # The q-plate scenarios check half-wave conversion of circular light.
 POLARIZATION_SECTION = SectionSchema("polarization", [
-    Key("kind", "str", required=True,
+    Key("kind", str.strip, required=True,
         check=(("L", "R").__contains__, "must be L or R")),
 ], required=True)
 
 ELEMENT_SECTION = SectionSchema("element", [
-    Key("q", "float", required=True),
-    Key("alpha0", "float", default=0.0),
-    Key("delta", "float", default=math.pi,
+    Key("q", required=True),
+    Key("alpha0", default=0.0),
+    Key("delta", default=math.pi,
         check=(lambda d: abs(d - math.pi) <= 1e-12, "must be pi")),
 ], required=True)
 
 ROTATION_SECTION = SectionSchema("rotation", [
-    Key("omega", "float", required=True),
-    Key("periods", "int", default=16, check=(lambda v: v > 0, "must be > 0")),
-    Key("samples", "int", default=4096),
+    Key("omega", required=True),
+    Key("periods", _parse_int, default=16,
+        check=(lambda v: v > 0, "must be > 0")),
+    Key("samples", _parse_int, default=4096),
 ], required=True, check=(
     lambda r: r["samples"] >= MIN_SAMPLES_PER_PERIOD * r["periods"],
     f"need >= {MIN_SAMPLES_PER_PERIOD} samples per rotation period"))
 
 INTERFERENCE_SECTION = SectionSchema("interference", [
-    Key("tilt", "float", required=True),
+    Key("tilt", required=True),
 ], required=True)
 
 PROPAGATION_SECTION = SectionSchema("propagation", [
-    Key("z_list", "float_list", required=True,
+    Key("z_list", _parse_float_list, required=True,
         check=(lambda zs: zs and min(zs) >= 0.0, "needs entries, all >= 0")),
 ], required=True)
 
-PHOTON_SECTION = SectionSchema("photon", [Key("nu", "float", default=5e14)])
+PHOTON_SECTION = SectionSchema("photon", [Key("nu", default=5e14)])
 
 OUTPUT_SECTION = SectionSchema("output", [
-    Key("directory", "str"),
+    Key("directory", str.strip),
 ])
 
 
@@ -158,7 +151,7 @@ def _validate_section(schema, given):
         if k.name in given:
             raw = given[k.name]
             try:
-                values[k.name] = PARSERS[k.kind](raw)
+                values[k.name] = k.parse(raw)
                 if k.check and not k.check[0](values[k.name]):
                     raise ValueError(k.check[1])
             except (TypeError, ValueError) as exc:
@@ -202,9 +195,10 @@ def load_config(path, scenario_schemas):
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     sections = {s: dict(parser.items(s)) for s in parser.sections()}
-    head = SectionSchema("scenario", [Key("name", "str", required=True, check=(
-        scenario_schemas.__contains__,
-        f"must be one of {', '.join(sorted(scenario_schemas))}"))])
+    head = SectionSchema("scenario", [Key(
+        "name", str.strip, required=True, check=(
+            scenario_schemas.__contains__,
+            f"must be one of {', '.join(sorted(scenario_schemas))}"))])
     try:
         name = _validate_section(head, sections.pop("scenario", {}))["name"]
         return validate(name, sections, scenario_schemas[name])

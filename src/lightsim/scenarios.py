@@ -238,28 +238,22 @@ def _scenario_generalized_charge(cfg, outdir, rng):
     l, loop_radius = beam_charge(cfg["beam"]), beam_waist(cfg["beam"])
     # The chain is pixelwise, and a crop's cell-centered axis is the slice
     # of the full one: on the crop the circle reader samples, it gives the
-    # loop samples of the full grid bit for bit.
-    n, lo = base.grid.n, analysis.crop_offset(base.grid, loop_radius)
-    crop = beams.ScalarField(replace(base.grid, n=n - 2 * lo),
-                             base.amp[lo:n - lo, lo:n - lo])
-    # unitary plate, projection on a unit state: |psi_out| <= |E_in| per
-    # pixel, padded far above the chain's rounding
-    bound = beams.max_abs(base.amp) * (1.0 + 1e-12)
+    # loop samples of the full grid bit for bit.  The plate is unitary and
+    # the projection is onto a unit state, so each output's peak is the
+    # input beam's to rounding; the loop check reads the input's.
+    crop = analysis.loop_crop(base, loop_radius)
+    peak = beams.max_abs(base.amp)
     rows = []
     for two_q in (-4, -2, -1, 1, 2, 4):
         spec = elements.QPlateSpec(two_q / 2.0)
         for kind, sign in (("L", 1.0), ("R", -1.0)):
-            def converted(s):
-                return beams.circular_component(elements.apply_qplate(
-                    spec, beams.vector_field(s, jones_state(kind))),
-                    "R" if sign > 0 else "L")
-            # the whole grid's peak only where the bound leaves it open
-            charge = analysis.topological_charge(
-                converted(crop), loop_radius, bound,
-                lambda: beams.max_abs(converted(base).amp))
+            converted = beams.circular_component(elements.apply_qplate(
+                spec, beams.vector_field(crop, jones_state(kind))),
+                "R" if sign > 0 else "L")
             rows.append(SummaryRow(
                 cfg.name, f"charge_2q={two_q}_{kind}",
-                charge, l + sign * two_q, 0.0))
+                analysis.topological_charge(converted, loop_radius, peak),
+                l + sign * two_q, 0.0))
     return rows
 
 

@@ -168,22 +168,13 @@ def test_topological_charge_rejects_loop_on_radial_node(n, l, p):
         topological_charge(s, 1.0)
 
 
-def test_topological_charge_asks_for_the_peak_only_past_the_bound():
+def test_topological_charge_checks_the_loop_against_the_given_peak():
     s = laguerre_gaussian(make_grid(128), 2, 0, 1.0)
     peak = float(np.max(np.abs(s.amp)))
-    calls = []
-
-    def exact():
-        calls.append(peak)
-        return peak
-
-    assert topological_charge(s, 1.0, peak, exact) == 2
-    assert calls == []
-    # a bound the samples do not clear leaves the check to the exact peak
-    assert topological_charge(s, 1.0, 1e12 * peak, exact) == 2
-    assert calls == [peak]
-    with pytest.raises(LoopThroughZero):
-        topological_charge(s, 1.0, 1e12 * peak, lambda: 1e12 * peak)
+    assert topological_charge(s, 1.0, peak) == 2
+    # the given value is the peak the check reads, not a bound on it
+    with pytest.raises(LoopThroughZero, match="within 1e-9 of a field zero"):
+        topological_charge(s, 1.0, 1e12 * peak)
 
 
 # --- energy and momentum densities ---

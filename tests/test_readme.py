@@ -1,8 +1,10 @@
 """The README's examples run as printed, so it cannot drift from the API;
-the API exports nothing that only its own tests use; and no module imports
-a name it does not use."""
+the API exports nothing that only its own tests use, and no public function
+has an option that only its own tests pass; and no module imports a name
+it does not use."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -65,3 +67,38 @@ def test_no_module_imports_a_name_it_does_not_use():
                 if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_every_option_of_a_public_function_is_passed_outside_the_tests():
+    package = ROOT / "src" / "lightsim"
+    sources = [p.read_text(encoding="utf-8") for p in
+               [*package.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                *(ROOT / "bench").glob("*.py")]] + [fenced_block("python")]
+    # per called name: the most positional arguments of one call (*args
+    # passes them all) and the keywords passed (None: **kwargs)
+    most, keywords = {}, {}
+    for node in ast.walk(ast.Module(list(map(ast.parse, sources)), [])):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            most[name] = max(most.get(name, 0),
+                             math.inf if star else len(node.args))
+            keywords.setdefault(name, set()).update(
+                k.arg for k in node.keywords)
+    unpassed = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name[0] == "_":
+                continue
+            a = fn.args
+            args = a.posonlyargs + a.args
+            options = [(i, p.arg) for i, p in enumerate(args)
+                       if i >= len(args) - len(a.defaults)]
+            options += [(math.inf, p.arg) for p, d
+                        in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            kws = keywords.get(fn.name, set())
+            unpassed += [f"{path.stem}.{fn.name}({name})"
+                         for i, name in options
+                         if most.get(fn.name, 0) <= i
+                         and not {name, None} & kws]
+    assert unpassed == []
