@@ -8,7 +8,7 @@ angular-spectrum propagation, and fork interferograms.
 from .analysis import (AmLedger, am_ledger, azimuthal_spectrum, classical_ke,
                        energy_density, magnetic_energy_fraction,
                        momentum_density, oam_per_photon, photon_partition,
-                       sam_per_photon, topological_charge)
+                       topological_charge)
 from .beams import (Grid, ScalarField, VectorField, circular_components,
                     elliptical_gaussian, gaussian, laguerre_gaussian,
                     plane_wave_em, vector_field)

@@ -4,7 +4,8 @@ SAM is measured as the intensity-weighted Stokes s3; OAM as the normalized
 azimuthal-derivative integral Im(psi* d_phi psi)/|psi|^2 evaluated with
 centered finite differences, with an azimuthal-spectrum decomposition
 available as an independent cross-check.  Energy and momentum densities use
-Gaussian units.
+Gaussian units.  A field's SAM, OAM and beam-width sums come from one pass
+over blocks of its rows, each read while it is in cache.
 """
 
 import math
@@ -12,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beams import ScalarField, max_abs, overlap, sum_abs2
+from . import beams
+from .beams import ScalarField, max_abs
 from .constants import C_LIGHT, H_PLANCK
 from .errors import (LoopThroughZero, NonpositiveFrequency, RadiusOutOfGrid,
                      ZeroEnergy, ZeroField)
@@ -31,39 +33,69 @@ class AmLedger:
         return self.sam + self.oam
 
 
-def sam_per_photon(f):
-    """Intensity-weighted spin helicity: sum(s3)/sum(s0), in [-1, 1].
-
-    sum(s3) = 2 Im<ex|ey> and sum(s0) = <ex|ex> + <ey|ey>, so no Stokes
-    map is built.
-    """
-    total = sum_abs2(f.ex) + sum_abs2(f.ey)
-    if total <= 0.0:
-        raise ZeroField("SAM undefined for a zero-power field")
-    return 2.0 * overlap(f.ex, f.ey).imag / total
-
-
 # Sixth-order centered first derivative, in units of 1/pitch:
-# f'_i = sum_k c_k (f_{i+k} - f_{i-k}), as (k, c_k) pairs.
-_D1 = ((1, 45.0 / 60.0), (2, -9.0 / 60.0), (3, 1.0 / 60.0))
+# f'_i = sum_k c_k (f_{i+k} - f_{i-k}), with c_k = _D1[k - 1].
+_D1 = np.array([45.0, -9.0, 1.0]) / 60.0
 
 
-def _stencil_dot(u, v):
-    """Per column j, sum_i u_ij (D v)_ij with D the zero-padded stencil
-    along axis 0, summed as lagged products u_i (v_{i+k} - v_{i-k})."""
-    return sum(c * (np.einsum("ij,ij->j", u[:-k], v[k:])
-                    - np.einsum("ij,ij->j", u[k:], v[:-k])) for k, c in _D1)
+def _pixel_sums(field):
+    """Per row sum_j |a|^2 and sum_j |a|^2 x_j, per column sum_i |a|^2, and
+    sum |a|^2, sum Im(a* (x d_y - y d_x) a) and Im<ex|ey> (0 for a scalar
+    field) over all components, in one pass over blocks of at most
+    `beams._BLOCK` pixels, each copied with the 3 rows above it.  As D is
+    antisymmetric, sum Im(a* D a) = 2 sum_k c_k sum_i (u_i v_{i+k} -
+    u_{i+k} v_i) on a grid line; a block takes the pairs whose row i + k
+    it holds.  Power and Im<ex|ey> are summed alike: SAM(L) = 1 exactly."""
+    g, comps, x = field.grid, field.components, field.grid.axis()
+    n, step = g.n, max(1, beams._BLOCK // g.n)
+    rows, cols, row_x, *lags = np.zeros((9, n))  # 3 lags along y, 3 along x
+    buf, total, spin = np.empty((2, step + 3, n)), 0.0, 0.0
+    for r in range(0, n, step):
+        e, lo = min(r + step, n), max(r - 3, 0)
+        m, o = e - lo, r - lo
+        (u, v), (ub, vb) = buf[:, :m], buf[:, o:m]
+        parts = [(a[r:e].real, a[r:e].imag) for a in comps]
+        total += sum(np.einsum("ij,ij->", p, p) + np.einsum("ij,ij->", q, q)
+                     for p, q in parts)
+        spin += sum(np.einsum("ij,ij->", xr, yi) - np.einsum("ij,ij->", xi, yr)
+                    for (xr, xi), (yr, yi) in zip(parts, parts[1:]))
+        for a in comps:
+            np.copyto(u, a[lo:e].real)
+            np.copyto(v, a[lo:e].imag)
+            for k, along_y, along_x in zip((1, 2, 3), lags[:3], lags[3:]):
+                i = max(o - k, 0)
+                along_y += np.einsum("ij,ij->j", u[i:m - k], v[i + k:m])
+                along_y -= np.einsum("ij,ij->j", u[i + k:m], v[i:m - k])
+                along_x[r:e] += np.einsum("ij,ij->i", ub[:, :-k], vb[:, k:])
+                along_x[r:e] -= np.einsum("ij,ij->i", ub[:, k:], vb[:, :-k])
+            np.add(np.square(ub, out=ub), np.square(vb, out=vb), out=ub)
+            rows[r:e] += np.einsum("ij->i", ub)
+            cols += np.einsum("ij->j", ub)
+            row_x[r:e] += np.einsum("ij,j->i", ub, x)
+    curl = np.einsum("k,kj,j->", _D1, np.subtract(lags[:3], lags[3:]), x)
+    return rows, cols, row_x, float(total), 2.0 * curl / g.pitch, float(spin)
 
 
-def _oam_scalar_sums(grid, amp):
-    """(sum Im(a* (x d_y - y d_x) a), sum |a|^2).  The zero-padded stencil
-    D is antisymmetric, so on each grid line sum Im(a* D a) = 2 Re(a).D Im(a).
-    """
-    x = grid.axis()
-    u, v = amp.real, amp.imag
-    along_y, along_x = _stencil_dot(u, v), _stencil_dot(u.T, v.T)
-    num = 2.0 * (along_y @ x - along_x @ x) / grid.pitch
-    return float(num), sum_abs2(amp)
+def _per_photon(sums, what):
+    """SAM = 2 Im<ex|ey> / sum |a|^2 = sum(s3)/sum(s0), or OAM, per photon."""
+    *_, total, curl, spin = sums
+    if total <= 0.0:
+        raise ZeroField(f"{what} undefined for a zero-power field")
+    return float(2.0 * spin if what == "SAM" else curl) / total
+
+
+def _widths(sums, x):
+    """Principal 1/e widths (2 x rms), ordered (x-like, y-like) by the
+    dominant axis of each eigenvector, from the row and column sums."""
+    rows, cols, row_x, total = sums[:4]
+    xm, ym = np.einsum("ki,i->k", [cols, rows], x) / total
+    dx, dy = x - xm, x - ym
+    xx, yy, xy = np.einsum("ki,ki->k", [dx * cols, dy * rows, dy],
+                           [dx, dy, row_x - xm * rows]) / total
+    evals, evecs = np.linalg.eigh(np.array([[xx, xy], [xy, yy]]))
+    w = 2.0 * np.sqrt(evals)
+    i = int(abs(evecs[0, 1]) >= abs(evecs[1, 1]))
+    return float(w[i]), float(w[1 - i])
 
 
 def oam_per_photon(field):
@@ -73,14 +105,7 @@ def oam_per_photon(field):
     azimuthal derivative from centered finite differences.  For a vector
     field the two components are combined with intensity weights.
     """
-    num = den = 0.0
-    for amp in field.components:
-        n, d = _oam_scalar_sums(field.grid, amp)
-        num += n
-        den += d
-    if den <= 0.0:
-        raise ZeroField("OAM undefined for a zero-power field")
-    return num / den
+    return _per_photon(_pixel_sums(field), "OAM")
 
 
 # Margin [px] around the circle: the spline prefilter's edge effect is 0.268^d.
@@ -196,16 +221,17 @@ def loop_winding(vals, peak, loop_radius):
 def topological_charge(s, loop_radius, peak=None):
     """Phase winding of psi around a centered circle of 720 samples (exact
     integer); LoopThroughZero if a sample is within 1e-9 of `peak`, by
-    default max |psi| of `s`.  A phase step above pi/2 between samples is
+    default max |psi| of `s`.  A phase step above pi/4 between samples is
     also a LoopThroughZero: the loop skirts a zero, and such steps alias
-    (read loops step at most 0.33 rad, those beside a radial node 2-3 rad)."""
+    (LG loops, |l| <= 10, p <= 5, n >= 64, w0/2 <= r <= 3 w0, that read
+    step at most 0.11 rad; those beside a radial node 1.0-3 rad)."""
     vals = _sample_circle(s, loop_radius, 720)
     charge = loop_winding(vals, max_abs(s.amp) if peak is None else peak,
                           loop_radius)
     step = float(np.max(np.abs(np.angle(np.roll(vals, -1) * vals.conj()))))
-    if step > math.pi / 2.0:
+    if step > math.pi / 4.0:
         raise LoopThroughZero(f"loop at r={loop_radius:g} steps {step:.3g} "
-                              "rad in phase between samples, above pi/2")
+                              "rad in phase between samples, above pi/4")
     return charge
 
 
@@ -247,4 +273,5 @@ def classical_ke(l_am, omega, p, v):
 
 def am_ledger(f):
     """Per-photon angular momentum ledger (units of hbar) of a vector field."""
-    return AmLedger(sam_per_photon(f), oam_per_photon(f))
+    sums = _pixel_sums(f)
+    return AmLedger(_per_photon(sums, "SAM"), _per_photon(sums, "OAM"))

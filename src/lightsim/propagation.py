@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .analysis import oam_per_photon, topological_charge
+from .analysis import _per_photon, _pixel_sums, _widths, topological_charge
 from .beams import Grid, max_abs
 from .errors import WindowTooSmall
 
@@ -140,34 +140,14 @@ def far_field(field):
 def second_moment_widths(s):
     """Principal 1/e beam widths (2 x rms) from the second moments of the
     total intensity over all components."""
-    inten = sum(np.abs(c) ** 2 for c in s.components)
-    total = float(inten.sum())
-    x = s.grid.axis()
-    X, Y = x[None, :], x[:, None]  # broadcast, not a meshgrid
-    xm = float((inten * X).sum()) / total
-    ym = float((inten * Y).sum()) / total
-    xx = float((inten * (X - xm) ** 2).sum()) / total
-    yy = float((inten * (Y - ym) ** 2).sum()) / total
-    xy = float((inten * (X - xm) * (Y - ym)).sum()) / total
-    cov = np.array([[xx, xy], [xy, yy]])
-    evals, evecs = np.linalg.eigh(cov)
-    # report widths ordered (x-like, y-like) by dominant eigenvector axis
-    w = 2.0 * np.sqrt(evals)
-    if abs(evecs[0, 1]) >= abs(evecs[1, 1]):
-        return float(w[1]), float(w[0])
-    return float(w[0]), float(w[1])
+    return _widths(_pixel_sums(s), s.grid.axis())
 
 
 def stability_record(z, out):
     """Widths, charge on the rms-radius circle and OAM per photon of the
-    scalar plane `out` at distance z."""
-    wx, wy = second_moment_widths(out)
-    radius = 0.5 * math.hypot(wx, wy)
-    return {
-        "z": float(z),
-        "width_x": wx,
-        "width_y": wy,
-        "charge": topological_charge(out, radius),
-        "oam": oam_per_photon(out),
-    }
-
+    scalar plane `out` at distance z, the widths and OAM from one pass."""
+    sums = _pixel_sums(out)
+    wx, wy = _widths(sums, out.grid.axis())
+    return {"z": float(z), "width_x": wx, "width_y": wy,
+            "charge": topological_charge(out, 0.5 * math.hypot(wx, wy)),
+            "oam": _per_photon(sums, "OAM")}

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lightsim import (JonesVector, QPlateSpec, apply_qplate, gaussian,
-                      jones_state, rotating_waveplate_series, vector_field)
-from lightsim.analysis import sam_per_photon, topological_charge
+from lightsim import (JonesVector, QPlateSpec, am_ledger, apply_qplate,
+                      gaussian, jones_state, rotating_waveplate_series,
+                      vector_field)
+from lightsim.analysis import topological_charge
 from lightsim.beams import Grid, circular_components
 from lightsim.errors import UndersampledRotation
 from lightsim.polarization import stokes_of
@@ -69,7 +70,7 @@ def test_qplate_converts_l_to_vortex_r():
     out = apply_qplate(QPlateSpec(1.0), f)
     psi_l, psi_r = circular_components(out)
     assert psi_l.power == pytest.approx(0.0, abs=1e-25)
-    assert sam_per_photon(out) == pytest.approx(-1.0, abs=1e-12)
+    assert am_ledger(out).sam == pytest.approx(-1.0, abs=1e-12)
     assert topological_charge(psi_r, 1.0) == 2
 
 
@@ -93,7 +94,7 @@ def test_qplate_charge_additivity():
     out = apply_qplate(QPlateSpec(2.0), apply_qplate(QPlateSpec(1.0), f))
     psi_l, _ = circular_components(out)
     assert topological_charge(psi_l, 1.0) == -2
-    assert sam_per_photon(out) == pytest.approx(1.0, abs=1e-12)
+    assert am_ledger(out).sam == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rotating_series_needs_uniform_dense_sampling():

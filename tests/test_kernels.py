@@ -7,18 +7,21 @@ per pixel and per sample, the sum of squared magnitudes); the library's
 kernels must agree with it to roundoff.  The kernels built on one
 quadrant of the grid and mirrored (vortex phases, Gaussian and LG modes,
 the angular-spectrum transfer phase) must agree with their full-grid
-formulas bit for bit, signed zeros included, and so must the kernels
-evaluated against broadcast axes (second-moment widths, the elliptical
-Gaussian) with the full meshgrid.  The pixel kernels evaluated by blocks
-of rows (the q-plate output, circular components, Stokes maps and the
-|psi| peak) must agree bit for bit with their whole-map formulas, with
-blocks that end mid-grid.  The circle reader samples `loop_crop`, the
-centered crop around its circle.  `generalized_charge` runs its q-plate
-chain on that crop and checks each loop against the input beam's peak; it
-must give the loop samples, rows and errors of the chain on the whole grid,
-each loop checked against its output's own peak, bit for bit.  scipy,
-which the library does not import, is the reference for its numpy
-replacements of eval_genlaguerre, correlate1d and map_coordinates.
+formulas bit for bit, signed zeros included, and so must the elliptical
+Gaussian, evaluated against broadcast axes, with the full meshgrid.  The
+pixel kernels evaluated by blocks of rows (the q-plate output, circular
+components, Stokes maps and the |psi| peak) must agree bit for bit with
+their whole-map formulas, with blocks that end mid-grid.  A field's pixel
+sums (power, SAM, OAM and the row and column sums of the widths), taken
+in one pass by blocks of rows, must agree with the whole-map sums to
+1e-13 of the sum of the terms' magnitudes, blocks ending mid-grid.  The
+circle reader samples `loop_crop`, the centered crop around its circle.
+`generalized_charge` runs its q-plate chain on that crop and checks each
+loop against the input beam's peak; it must give the loop samples, rows
+and errors of the chain on the whole grid, each loop checked against its
+output's own peak, bit for bit.  scipy, which the library does not import,
+is the reference for its numpy replacements of eval_genlaguerre,
+correlate1d and map_coordinates.
 """
 
 import cmath
@@ -39,13 +42,13 @@ from scipy.special import eval_genlaguerre, factorial
 
 import lightsim
 from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
-                      VectorField, circle_path, elliptical_gaussian, gaussian,
-                      geodesic_path, interference_image, jones_state,
+                      VectorField, am_ledger, circle_path, elliptical_gaussian,
+                      gaussian, geodesic_path, interference_image, jones_state,
                       laguerre_gaussian, oam_per_photon, propagate,
                       propagations, rotating_waveplate_series,
-                      sam_per_photon, second_moment_widths, solid_angle,
-                      stokes_of, vector_field)
-from lightsim.analysis import (CROP_MARGIN, _oam_scalar_sums, _sample_circle,
+                      second_moment_widths, solid_angle, stokes_of,
+                      vector_field)
+from lightsim.analysis import (CROP_MARGIN, _pixel_sums, _sample_circle,
                                topological_charge)
 from lightsim.beams import (_genlaguerre, _unfold, azimuthal_phase,
                             circular_component, max_abs, overlap, sum_abs2)
@@ -270,7 +273,7 @@ def test_oam_sums_match_complex_derivative_form(n, seed, scale):
     amp = scale * (rng.standard_normal((n, n))
                    + 1j * rng.standard_normal((n, n)))
     s = ScalarField(g, amp)
-    num, den = _oam_scalar_sums(s.grid, s.amp)
+    *_, den, num, _ = _pixel_sums(s)
     terms = oam_terms(s)
     assert abs(num - float(np.sum(terms))) <= 1e-12 * float(
         np.sum(np.abs(terms)))
@@ -300,14 +303,14 @@ def test_oam_numerator_matches_correlate1d_form(n, seed, scale):
     rng = np.random.default_rng(seed)
     amp = scale * (rng.standard_normal((n, n))
                    + 1j * rng.standard_normal((n, n)))
-    num, _ = _oam_scalar_sums(g, amp)
+    num = _pixel_sums(ScalarField(g, amp))[4]
     ref, terms = oam_sums_correlate(g, amp)
     assert abs(num - ref) <= 1e-13 * float(np.sum(np.abs(terms)))
 
 
 def test_oam_sums_of_real_field():
     s = gaussian(make_grid(64), 1.0)
-    num, den = _oam_scalar_sums(s.grid, s.amp)
+    *_, den, num, _ = _pixel_sums(s)
     assert num == 0.0
     assert den == pytest.approx(float(np.sum(s.amp ** 2)), rel=1e-14)
 
@@ -419,12 +422,9 @@ def random_vector_field(n, seed, scale=1.0):
 def test_sam_matches_stokes_map_sums(n, seed, scale):
     f = random_vector_field(n, seed, scale)
     s0, _, _, s3 = stokes_map(f.ex, f.ey)
-    sam = sam_per_photon(f)
+    sam = am_ledger(f).sam
     assert sam == pytest.approx(float(np.sum(s3)) / float(np.sum(s0)),
                                 abs=1e-12)
-    # the imaginary part alone is summed as overlap sums it
-    total = sum_abs2(f.ex) + sum_abs2(f.ey)
-    assert sam == 2.0 * overlap(f.ex, f.ey).imag / total
 
 
 def test_stokes_field_matches_stokes_of_per_pixel():
@@ -568,6 +568,20 @@ def second_moment_widths_meshgrid(s):
     return float(w[0]), float(w[1])
 
 
+def assert_line_sums_match_meshgrid(sums, s):
+    """The per-row sum_j |a|^2 and per-column sum_i |a|^2 and per-row
+    sum_j |a|^2 x_j of `_pixel_sums` within 1e-13 of sum |terms| of their
+    whole-map forms."""
+    inten = sum(np.abs(c) ** 2 for c in s.components)
+    ix = inten * s.grid.axis()[None, :]
+    refs = ((inten.sum(axis=1), inten.sum(axis=1)),
+            (inten.sum(axis=0), inten.sum(axis=0)),
+            (ix.sum(axis=1), np.abs(ix).sum(axis=1)))
+    for name, got, (ref, bound) in zip(("rows", "cols", "row_x"), sums[:3],
+                                       refs):
+        assert np.all(np.abs(got - ref) <= 1e-13 * bound), name
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(16, 96).map(lambda k: 2 * k),
        seed=st.integers(0, 2**32 - 1), vector=st.booleans())
@@ -582,8 +596,11 @@ def test_moment_widths_match_meshgrid_form(n, seed, vector):
                       + 1j * rng.standard_normal((n, n)))
              for _ in range(2 if vector else 1)]
     s = VectorField(g, *comps) if vector else ScalarField(g, *comps)
-    assert same_bits(np.array(second_moment_widths(s)),
-                     np.array(second_moment_widths_meshgrid(s)))
+    assert_line_sums_match_meshgrid(_pixel_sums(s), s)
+    # the moments are taken from sums by rows and columns, not on whole
+    # maps, so the widths agree to roundoff, not bit for bit
+    assert second_moment_widths(s) == pytest.approx(
+        second_moment_widths_meshgrid(s), rel=1e-13)
 
 
 def elliptical_gaussian_meshgrid(grid, wx, wy, tilt):
@@ -763,6 +780,70 @@ def test_blocked_peaks_match_whole_grid_bits(n, seed, row, col):
     assert peak == float(np.max(np.abs(amp))) == 50.0
     assert same_bits(image, interference_image_whole(s, tilt))
 
+
+# --- a field's pixel sums in one pass by blocks of rows ---
+
+# The OAM sums as they were taken on whole maps before the blocked pass:
+# lagged products u_i (v_{i+k} - v_{i-k}) of the zero-padded stencil.
+D1 = ((1, 45.0 / 60.0), (2, -9.0 / 60.0), (3, 1.0 / 60.0))
+
+
+def stencil_dot_whole(u, v):
+    return sum(c * (np.einsum("ij,ij->j", u[:-k], v[k:])
+                    - np.einsum("ij,ij->j", u[k:], v[:-k])) for k, c in D1)
+
+
+def oam_numerator_whole(grid, amp):
+    x = grid.axis()
+    u, v = amp.real, amp.imag
+    along_y, along_x = stencil_dot_whole(u, v), stencil_dot_whole(u.T, v.T)
+    return float(2.0 * (along_y @ x - along_x @ x) / grid.pitch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=ragged_n, seed=seeds, vector=st.booleans(),
+       scale=st.floats(1e-3, 1e3))
+@example(n=32, seed=0, vector=True, scale=1.0)  # 4 full blocks and 4 rows
+def test_blocked_pixel_sums_match_whole_map_forms(n, seed, vector, scale):
+    """One pass by blocks of 7 rows, the last one partial, so the lagged
+    products along y cross every block edge: the power, the OAM numerator,
+    Im<ex|ey>, the row and column sums and the widths agree with their
+    whole-map forms within 1e-13 of sum |terms| (the widths within 1e-13
+    of their value)."""
+    f = random_vector_field(n, seed, scale)
+    field = f if vector else ScalarField(f.grid, f.ex)
+    with ragged_blocks(n):
+        sums = _pixel_sums(field)
+        widths = second_moment_widths(field)
+    *_, total, curl, spin = sums
+    g, comps = field.grid, field.components
+    ref = sum(sum_abs2(c) for c in comps)
+    assert abs(total - ref) <= 1e-13 * ref
+    num = sum(oam_numerator_whole(g, c) for c in comps)
+    bound = sum(float(np.sum(np.abs(oam_terms(ScalarField(g, c)))))
+                for c in comps)
+    assert abs(curl - num) <= 1e-13 * bound
+    if vector:
+        bound = float(np.sum(np.abs(f.ex.real * f.ey.imag)
+                             + np.abs(f.ex.imag * f.ey.real)))
+        assert abs(spin - overlap(f.ex, f.ey).imag) <= 1e-13 * bound
+    else:
+        assert spin == 0.0
+    assert_line_sums_match_meshgrid(sums, field)
+    assert widths == pytest.approx(second_moment_widths_meshgrid(field),
+                                   rel=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=ragged_n, seed=seeds)
+def test_circular_states_have_unit_helicity_to_the_bit(n, seed):
+    """The power and Im<ex|ey> are summed alike, so L and R states read
+    SAM +1 and -1 exactly, as the whole-map sums read them."""
+    s = ScalarField(make_grid(n), random_vector_field(n, seed).ex)
+    with ragged_blocks(n):
+        for hand, sam in (("L", 1.0), ("R", -1.0)):
+            f = vector_field(s, jones_state(hand))
+            assert am_ledger(f).sam == sam
 
 
 # --- generalized_charge on the crop its circle reader samples ---

@@ -14,6 +14,12 @@ FFT allocated its intermediate, and 7.1 with one transfer function and
 forward FFT per distance; `interference_fork` (LG l = -3) measured 3.2,
 against 3.7 when the fork reader demodulated every row of the image
 instead of the rows its loop spans.
+
+The pixel sums of `am_ledger` and `second_moment_widths` are taken in one
+pass over blocks of rows, with no whole-map temporary: each traces at most
+0.1 map at n = 512 (0.088 measured, the copy of one block and its 3 rows
+of halo), against 1.52 for `second_moment_widths` when it built the
+intensity map and its moment products on whole maps.
 """
 
 import math
@@ -21,6 +27,8 @@ import tracemalloc
 
 import pytest
 
+from lightsim import (Grid, QPlateSpec, am_ledger, apply_qplate, jones_state,
+                      laguerre_gaussian, second_moment_widths, vector_field)
 from lightsim.config import ScenarioConfig
 from lightsim.scenarios import run_scenario
 
@@ -62,3 +70,20 @@ def peak_in_maps(name, sections, outdir):
 ])
 def test_peak_memory_within_budget(tmp_path, name, sections, budget):
     assert peak_in_maps(name, sections, tmp_path) <= budget
+
+
+def kernel_peak_in_maps(fn, field):
+    tracemalloc.start()
+    try:
+        fn(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * N * N)
+
+
+def test_pixel_sums_take_no_whole_map():
+    lg = laguerre_gaussian(Grid(N, WINDOW / N, WAVELENGTH), 2, 1, PW0)
+    out = apply_qplate(QPlateSpec(1.0), vector_field(lg, jones_state("L")))
+    assert kernel_peak_in_maps(am_ledger, out) <= 0.1
+    assert kernel_peak_in_maps(second_moment_widths, lg) <= 0.1
