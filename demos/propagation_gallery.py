@@ -18,7 +18,7 @@ gauss = ls.gaussian(grid, w0)
 print("Gaussian:")
 for z in (0.0, zr, 2 * zr):
     out = ls.propagate(gauss, z)
-    wx, wy = ls.second_moment_widths(out)
+    wx, wy = ls.am_ledger(out).widths
     expect = w0 * math.sqrt(1 + (z / zr) ** 2)
     print(f"  z = {z / zr:3.1f} zR: width = {wx * 1e3:.3f} mm "
           f"(theory {expect * 1e3:.3f} mm)")
@@ -31,6 +31,6 @@ for rec in map(ls.stability_record, zs, ls.propagations(lg, zs)):
           f"charge = {rec['charge']}, oam/photon = {rec['oam']:.4f} hbar")
 
 far = ls.far_field(lg)
-wx, wy = ls.second_moment_widths(far)
+wx, wy = ls.am_ledger(far).widths
 print(f"\nfar-field divergence (2 x rms): {wx * 1e3:.3f} mrad")
 print(f"far-field power / input power: {far.power / lg.power:.6f}")

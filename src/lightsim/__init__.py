@@ -7,8 +7,7 @@ angular-spectrum propagation, and fork interferograms.
 
 from .analysis import (AmLedger, am_ledger, azimuthal_spectrum, classical_ke,
                        energy_density, magnetic_energy_fraction,
-                       momentum_density, oam_per_photon, photon_partition,
-                       topological_charge)
+                       momentum_density, photon_partition, topological_charge)
 from .beams import (Grid, ScalarField, VectorField, circular_components,
                     elliptical_gaussian, gaussian, laguerre_gaussian,
                     plane_wave_em, vector_field)
@@ -20,7 +19,7 @@ from .interference import fringe_fork_count, interference_image
 from .polarization import (JonesVector, StokesVector, jones_state,
                            pancharatnam_phase, stokes_of)
 from .propagation import (far_field, propagate, propagations,
-                          second_moment_widths, stability_record)
+                          stability_record)
 from .scenarios import frequency_shift_from_series, run_scenario, selftest
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ SAM is measured as the intensity-weighted Stokes s3; OAM as the normalized
 azimuthal-derivative integral Im(psi* d_phi psi)/|psi|^2 evaluated with
 centered finite differences, with an azimuthal-spectrum decomposition
 available as an independent cross-check.  Energy and momentum densities use
-Gaussian units.  A field's SAM, OAM and beam-width sums come from one pass
-over blocks of its rows, each read while it is in cache.
+Gaussian units.  A field's `am_ledger` (SAM, OAM, power and widths) comes
+from one pass over blocks of its rows, each read while it is in cache.
 """
 
 import math
@@ -23,10 +23,14 @@ from .polarization import wrap_angle
 
 @dataclass(frozen=True)
 class AmLedger:
-    """Angular momentum per photon, in units of hbar: spin, orbital, total."""
+    """Angular momentum per photon, in units of hbar (spin, orbital and
+    their total), power sum |a|^2 pitch^2 and the principal 1/e widths
+    (2 x rms, x-like then y-like) of a field's total intensity."""
 
     sam: float
     oam: float
+    power: float
+    widths: tuple
 
     @property
     def total(self):
@@ -45,7 +49,8 @@ def _pixel_sums(field):
     `beams._BLOCK` pixels, each copied with the 3 rows above it.  As D is
     antisymmetric, sum Im(a* D a) = 2 sum_k c_k sum_i (u_i v_{i+k} -
     u_{i+k} v_i) on a grid line; a block takes the pairs whose row i + k
-    it holds.  Power and Im<ex|ey> are summed alike: SAM(L) = 1 exactly."""
+    it holds.  Power and Im<ex|ey> are summed alike, per block by
+    `beams.sum_abs2` and `beams.overlap`: SAM(L) = 1 exactly."""
     g, comps, x = field.grid, field.components, field.grid.axis()
     n, step = g.n, max(1, beams._BLOCK // g.n)
     rows, cols, row_x, *lags = np.zeros((9, n))  # 3 lags along y, 3 along x
@@ -54,11 +59,10 @@ def _pixel_sums(field):
         e, lo = min(r + step, n), max(r - 3, 0)
         m, o = e - lo, r - lo
         (u, v), (ub, vb) = buf[:, :m], buf[:, o:m]
-        parts = [(a[r:e].real, a[r:e].imag) for a in comps]
-        total += sum(np.einsum("ij,ij->", p, p) + np.einsum("ij,ij->", q, q)
-                     for p, q in parts)
-        spin += sum(np.einsum("ij,ij->", xr, yi) - np.einsum("ij,ij->", xi, yr)
-                    for (xr, xi), (yr, yi) in zip(parts, parts[1:]))
+        blocks = [a[r:e] for a in comps]
+        total += sum(beams.sum_abs2(b) for b in blocks)
+        spin += sum(beams.overlap(a, b).imag
+                    for a, b in zip(blocks, blocks[1:]))
         for a in comps:
             np.copyto(u, a[lo:e].real)
             np.copyto(v, a[lo:e].imag)
@@ -76,18 +80,9 @@ def _pixel_sums(field):
     return rows, cols, row_x, float(total), 2.0 * curl / g.pitch, float(spin)
 
 
-def _per_photon(sums, what):
-    """SAM = 2 Im<ex|ey> / sum |a|^2 = sum(s3)/sum(s0), or OAM, per photon."""
-    *_, total, curl, spin = sums
-    if total <= 0.0:
-        raise ZeroField(f"{what} undefined for a zero-power field")
-    return float(2.0 * spin if what == "SAM" else curl) / total
-
-
-def _widths(sums, x):
+def _widths(rows, cols, row_x, total, x):
     """Principal 1/e widths (2 x rms), ordered (x-like, y-like) by the
     dominant axis of each eigenvector, from the row and column sums."""
-    rows, cols, row_x, total = sums[:4]
     xm, ym = np.einsum("ki,i->k", [cols, rows], x) / total
     dx, dy = x - xm, x - ym
     xx, yy, xy = np.einsum("ki,ki->k", [dx * cols, dy * rows, dy],
@@ -96,16 +91,6 @@ def _widths(sums, x):
     w = 2.0 * np.sqrt(evals)
     i = int(abs(evecs[0, 1]) >= abs(evecs[1, 1]))
     return float(w[i]), float(w[1 - i])
-
-
-def oam_per_photon(field):
-    """Orbital angular momentum per photon, in units of hbar.
-
-    Im( integral psi* (x d_y - y d_x) psi ) / integral |psi|^2, with the
-    azimuthal derivative from centered finite differences.  For a vector
-    field the two components are combined with intensity weights.
-    """
-    return _per_photon(_pixel_sums(field), "OAM")
 
 
 # Margin [px] around the circle: the spline prefilter's edge effect is 0.268^d.
@@ -272,6 +257,12 @@ def classical_ke(l_am, omega, p, v):
 
 
 def am_ledger(f):
-    """Per-photon angular momentum ledger (units of hbar) of a vector field."""
-    sums = _pixel_sums(f)
-    return AmLedger(_per_photon(sums, "SAM"), _per_photon(sums, "OAM"))
+    """The `AmLedger` of a scalar or vector field, from one `_pixel_sums`
+    pass: SAM = 2 Im<ex|ey> / sum |a|^2 = sum(s3)/sum(s0) and OAM per
+    photon, power and widths.  ZeroField for a zero-power field."""
+    rows, cols, row_x, total, curl, spin = _pixel_sums(f)
+    if total <= 0.0:
+        raise ZeroField("angular momentum undefined for a zero-power field")
+    return AmLedger(2.0 * spin / total, float(curl) / total,
+                    total * f.grid.pitch ** 2,
+                    _widths(rows, cols, row_x, total, f.grid.axis()))

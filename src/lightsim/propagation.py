@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .analysis import _per_photon, _pixel_sums, _widths, topological_charge
+from .analysis import am_ledger, topological_charge
 from .beams import Grid, max_abs
 from .errors import WindowTooSmall
 
@@ -137,17 +137,11 @@ def far_field(field):
     return type(field)(Grid(n, theta_pitch, grid.wavelength), *out)
 
 
-def second_moment_widths(s):
-    """Principal 1/e beam widths (2 x rms) from the second moments of the
-    total intensity over all components."""
-    return _widths(_pixel_sums(s), s.grid.axis())
-
-
 def stability_record(z, out):
     """Widths, charge on the rms-radius circle and OAM per photon of the
-    scalar plane `out` at distance z, the widths and OAM from one pass."""
-    sums = _pixel_sums(out)
-    wx, wy = _widths(sums, out.grid.axis())
+    scalar plane `out` at distance z, the widths and OAM from one ledger."""
+    ledger = am_ledger(out)
+    wx, wy = ledger.widths
     return {"z": float(z), "width_x": wx, "width_y": wy,
             "charge": topological_charge(out, 0.5 * math.hypot(wx, wy)),
-            "oam": _per_photon(sums, "OAM")}
+            "oam": ledger.oam}

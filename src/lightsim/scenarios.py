@@ -190,7 +190,6 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
     grid = field_in.grid
     spec = build_qplate(cfg)
     ledger_in = analysis.am_ledger(field_in)
-    power_in = field_in.power
     s_in = stokes_maps(field_in)
     mask = s_in.s0 > 1e-9 * float(np.max(s_in.s0))
     ratio_in = s_in.s3[mask] / s_in.s0[mask]
@@ -198,7 +197,6 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
     field_out = elements.apply_qplate(spec, field_in)
     del field_in
     ledger_out = analysis.am_ledger(field_out)
-    power_out = field_out.power
 
     s3_sign = 1.0 if ledger_in.sam >= 0.0 else -1.0
     charge_expected = beam_charge(cfg["beam"]) + 2.0 * spec.q * s3_sign
@@ -224,7 +222,8 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
         SummaryRow(name, "ledger_imbalance",
                    ledger_out.total - ledger_in.total,
                    s3_sign * (2.0 * spec.q - 2.0), tol),
-        SummaryRow(name, "power_ratio", power_out / power_in, 1.0, 1e-12),
+        SummaryRow(name, "power_ratio", ledger_out.power / ledger_in.power,
+                   1.0, 1e-12),
     ]
     if outdir is not None:
         write_intensity_pgm(outdir / "intensity_out.pgm", s_out.s0)
@@ -264,7 +263,7 @@ def _scenario_lg_oam(cfg, outdir, rng):
     for l in range(-3, 4):
         for p in (0, 1):
             mode = beams.laguerre_gaussian(grid, l, p, w0)
-            oam = analysis.oam_per_photon(mode)
+            oam = analysis.am_ledger(mode).oam
             spectrum = analysis.azimuthal_spectrum(mode, 0.6 * w0)
             purity = spectrum.get(l, 0.0)
             rows.append(SummaryRow(cfg.name, f"oam_l={l}_p={p}",

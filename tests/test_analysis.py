@@ -7,8 +7,8 @@ from lightsim import (Grid, QPlateSpec, ScalarField, VectorField, am_ledger,
                       apply_qplate, azimuthal_spectrum, classical_ke,
                       energy_density, gaussian, jones_state,
                       laguerre_gaussian, magnetic_energy_fraction,
-                      momentum_density, oam_per_photon, photon_partition,
-                      plane_wave_em, topological_charge, vector_field)
+                      momentum_density, photon_partition, plane_wave_em,
+                      topological_charge, vector_field)
 from lightsim.constants import C_LIGHT, H_PLANCK, HBAR
 from lightsim.errors import (LoopThroughZero, NonpositiveFrequency,
                              RadiusOutOfGrid, ZeroField)
@@ -61,7 +61,7 @@ def test_sam_zero_field_raises():
 # --- OAM ---
 
 def test_oam_of_gaussian_is_zero():
-    assert oam_per_photon(gaussian(make_grid(), 1.0)) == pytest.approx(
+    assert am_ledger(gaussian(make_grid(), 1.0)).oam == pytest.approx(
         0.0, abs=1e-12)
 
 
@@ -69,21 +69,21 @@ def test_oam_of_lg_modes():
     g = make_grid(512)
     for l in (-3, -1, 1, 2, 3):
         for p in (0, 1):
-            assert oam_per_photon(laguerre_gaussian(g, l, p, 1.0)) == \
+            assert am_ledger(laguerre_gaussian(g, l, p, 1.0)).oam == \
                 pytest.approx(float(l), abs=1e-3)
 
 
 def test_oam_of_filled_core_vortex():
     # Gaussian x e^{2i phi} has a filled core; hardest case for the
     # finite-difference estimator
-    assert oam_per_photon(vortex(make_grid(512), 2)) == pytest.approx(
+    assert am_ledger(vortex(make_grid(512), 2)).oam == pytest.approx(
         2.0, abs=1e-3)
 
 
 def test_oam_of_vector_field_combines_components():
     g = make_grid(256)
     f = vector_field(laguerre_gaussian(g, 1, 0, 1.0), jones_state("L"))
-    assert oam_per_photon(f) == pytest.approx(1.0, abs=1e-3)
+    assert am_ledger(f).oam == pytest.approx(1.0, abs=1e-3)
 
 
 def test_oam_superposition_additivity():
@@ -92,7 +92,7 @@ def test_oam_superposition_additivity():
     a = laguerre_gaussian(g, 1, 0, 1.0)
     b = laguerre_gaussian(g, -1, 0, 1.0)
     sup = ScalarField(g, (a.amp + b.amp) / math.sqrt(2.0))
-    assert oam_per_photon(sup) == pytest.approx(0.0, abs=2e-3)
+    assert am_ledger(sup).oam == pytest.approx(0.0, abs=2e-3)
 
 
 # --- azimuthal spectrum ---

@@ -44,9 +44,8 @@ import lightsim
 from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       VectorField, am_ledger, circle_path, elliptical_gaussian,
                       gaussian, geodesic_path, interference_image, jones_state,
-                      laguerre_gaussian, oam_per_photon, propagate,
-                      propagations, rotating_waveplate_series,
-                      second_moment_widths, solid_angle, stokes_of,
+                      laguerre_gaussian, propagate, propagations,
+                      rotating_waveplate_series, solid_angle, stokes_of,
                       vector_field)
 from lightsim.analysis import (CROP_MARGIN, _pixel_sums, _sample_circle,
                                topological_charge)
@@ -455,9 +454,9 @@ def test_vector_oam_is_intensity_weighted_component_oam():
     ex = laguerre_gaussian(g, 2, 0, 1.0).amp
     ey = 0.5j * laguerre_gaussian(g, -1, 1, 1.0).amp
     wx, wy = float(np.sum(np.abs(ex) ** 2)), float(np.sum(np.abs(ey) ** 2))
-    ref = (oam_per_photon(ScalarField(g, ex)) * wx
-           + oam_per_photon(ScalarField(g, ey)) * wy) / (wx + wy)
-    assert oam_per_photon(VectorField(g, ex, ey)) == pytest.approx(ref,
+    ref = (am_ledger(ScalarField(g, ex)).oam * wx
+           + am_ledger(ScalarField(g, ey)).oam * wy) / (wx + wy)
+    assert am_ledger(VectorField(g, ex, ey)).oam == pytest.approx(ref,
                                                                    rel=1e-12)
     assert -1.0 < ref < 2.0
 
@@ -489,8 +488,9 @@ def test_power_matches_squared_magnitude_sum(n, seed, scale):
     f = random_vector_field(n, seed, scale)
     for field in (f, ScalarField(f.grid, f.ey)):
         ref = sum(float(np.sum(np.abs(c) ** 2)) for c in field.components)
-        assert field.power == pytest.approx(ref * field.grid.pitch ** 2,
-                                            rel=1e-13)
+        ref *= field.grid.pitch ** 2
+        assert field.power == pytest.approx(ref, rel=1e-13)
+        assert am_ledger(field).power == pytest.approx(ref, rel=1e-13)
 
 
 @settings(max_examples=25, deadline=None)
@@ -599,7 +599,7 @@ def test_moment_widths_match_meshgrid_form(n, seed, vector):
     assert_line_sums_match_meshgrid(_pixel_sums(s), s)
     # the moments are taken from sums by rows and columns, not on whole
     # maps, so the widths agree to roundoff, not bit for bit
-    assert second_moment_widths(s) == pytest.approx(
+    assert am_ledger(s).widths == pytest.approx(
         second_moment_widths_meshgrid(s), rel=1e-13)
 
 
@@ -814,7 +814,7 @@ def test_blocked_pixel_sums_match_whole_map_forms(n, seed, vector, scale):
     field = f if vector else ScalarField(f.grid, f.ex)
     with ragged_blocks(n):
         sums = _pixel_sums(field)
-        widths = second_moment_widths(field)
+        widths = am_ledger(field).widths
     *_, total, curl, spin = sums
     g, comps = field.grid, field.components
     ref = sum(sum_abs2(c) for c in comps)

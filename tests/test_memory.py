@@ -15,11 +15,12 @@ forward FFT per distance; `interference_fork` (LG l = -3) measured 3.2,
 against 3.7 when the fork reader demodulated every row of the image
 instead of the rows its loop spans.
 
-The pixel sums of `am_ledger` and `second_moment_widths` are taken in one
-pass over blocks of rows, with no whole-map temporary: each traces at most
-0.1 map at n = 512 (0.088 measured, the copy of one block and its 3 rows
-of halo), against 1.52 for `second_moment_widths` when it built the
-intensity map and its moment products on whole maps.
+The pixel sums of `am_ledger` (SAM, OAM, power and widths) are taken in
+one pass over blocks of rows, with no whole-map temporary: on a vector and
+on a scalar field it traces at most 0.1 map at n = 512 (0.088 measured, the
+copy of one block and its 3 rows of halo), against 1.52 for the widths
+alone when they were read from the intensity map and its moment products
+on whole maps.
 """
 
 import math
@@ -28,7 +29,7 @@ import tracemalloc
 import pytest
 
 from lightsim import (Grid, QPlateSpec, am_ledger, apply_qplate, jones_state,
-                      laguerre_gaussian, second_moment_widths, vector_field)
+                      laguerre_gaussian, vector_field)
 from lightsim.config import ScenarioConfig
 from lightsim.scenarios import run_scenario
 
@@ -86,4 +87,4 @@ def test_pixel_sums_take_no_whole_map():
     lg = laguerre_gaussian(Grid(N, WINDOW / N, WAVELENGTH), 2, 1, PW0)
     out = apply_qplate(QPlateSpec(1.0), vector_field(lg, jones_state("L")))
     assert kernel_peak_in_maps(am_ledger, out) <= 0.1
-    assert kernel_peak_in_maps(second_moment_widths, lg) <= 0.1
+    assert kernel_peak_in_maps(am_ledger, lg) <= 0.1

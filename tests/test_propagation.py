@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightsim import (Grid, ScalarField, elliptical_gaussian, far_field,
-                      gaussian, jones_state, laguerre_gaussian, oam_per_photon,
-                      propagate, propagations, second_moment_widths,
-                      stability_record, topological_charge, vector_field)
+from lightsim import (Grid, ScalarField, am_ledger, elliptical_gaussian,
+                      far_field, gaussian, jones_state, laguerre_gaussian,
+                      propagate, propagations, stability_record,
+                      topological_charge, vector_field)
 from lightsim.beams import MAX_L, MAX_P, sum_abs2
 from lightsim.config import ScenarioConfig, validate
-from lightsim.errors import WindowTooSmall
+from lightsim.errors import WindowTooSmall, ZeroField
 from lightsim.scenarios import (SCENARIOS, SummaryRow, build_beam,
                                 build_scalar_beam, run_scenario)
 
@@ -72,7 +72,7 @@ def test_gaussian_expands_by_sqrt2_at_rayleigh():
     w0 = 1.0
     s = gaussian(make_grid(512), w0)
     out = propagate(s, rayleigh(w0))
-    wx, wy = second_moment_widths(out)
+    wx, wy = am_ledger(out).widths
     expect = w0 * math.sqrt(2.0)
     assert wx == pytest.approx(expect, rel=5e-3)
     assert wy == pytest.approx(expect, rel=5e-3)
@@ -82,9 +82,9 @@ def test_lg_charge_and_oam_survive_propagation():
     s = laguerre_gaussian(make_grid(512), 2, 0, 1.0)
     for z in (rayleigh(1.0), 2.0 * rayleigh(1.0)):
         out = propagate(s, z)
-        wx, wy = second_moment_widths(out)
+        wx, wy = am_ledger(out).widths
         assert topological_charge(out, 0.5 * math.hypot(wx, wy)) == 2
-        assert oam_per_photon(out) == pytest.approx(2.0, abs=2e-3)
+        assert am_ledger(out).oam == pytest.approx(2.0, abs=2e-3)
 
 
 def test_semigroup_property():
@@ -123,8 +123,8 @@ def test_vector_field_propagates_componentwise():
 
 def test_vector_field_widths_are_total_intensity_widths():
     s = elliptical_gaussian(make_grid(128), 1.4, 0.8, 0.3)
-    widths = second_moment_widths(vector_field(s, jones_state("D")))
-    assert widths == pytest.approx(second_moment_widths(s), rel=1e-12)
+    widths = am_ledger(vector_field(s, jones_state("D"))).widths
+    assert widths == pytest.approx(am_ledger(s).widths, rel=1e-12)
 
 
 def test_window_too_small_raises():
@@ -139,7 +139,7 @@ def test_far_field_preserves_power_and_charge():
     s = laguerre_gaussian(make_grid(512), 1, 0, 1.0)
     ff = far_field(s)
     assert ff.power == pytest.approx(s.power, rel=1e-9)
-    wx, wy = second_moment_widths(ff)
+    wx, wy = am_ledger(ff).widths
     assert topological_charge(ff, 0.5 * math.hypot(wx, wy)) == 1
 
 
@@ -148,7 +148,7 @@ def test_far_field_gaussian_divergence():
     # lambda / (pi w0), the reciprocal of the near-field width
     w0 = 1.0
     ff = far_field(gaussian(make_grid(512), w0))
-    wx, wy = second_moment_widths(ff)
+    wx, wy = am_ledger(ff).widths
     expect = WAVELENGTH / (math.pi * w0)
     assert wx == pytest.approx(expect, rel=1e-2)
     assert wy == pytest.approx(expect, rel=1e-2)
@@ -157,7 +157,7 @@ def test_far_field_gaussian_divergence():
 def test_far_field_elliptical_aspect_transposes():
     # a 2:1 waist ratio becomes a 1:2 divergence ratio
     ff = far_field(elliptical_gaussian(make_grid(512), 1.0, 0.5))
-    wx, wy = second_moment_widths(ff)
+    wx, wy = am_ledger(ff).widths
     assert wy / wx == pytest.approx(2.0, rel=1e-2)
 
 
@@ -170,6 +170,15 @@ def test_stability_records():
         assert r["charge"] == -1
         assert r["oam"] == pytest.approx(-1.0, abs=2e-3)
         assert r["width_x"] > 0.0 and r["width_y"] > 0.0
+
+
+def test_zero_plane_raises_zero_field():
+    # widths and OAM of a zero field are 0/0: no nan, no radius read from it
+    zero = ScalarField(make_grid(64), np.zeros((64, 64), complex))
+    with pytest.raises(ZeroField):
+        am_ledger(zero)
+    with pytest.raises(ZeroField):
+        stability_record(1.0, propagate(zero, 1.0))
 
 
 # --- propagation_stability: one pass over the planes ---
