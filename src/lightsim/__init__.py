@@ -20,6 +20,6 @@ from .polarization import (JonesVector, StokesVector, jones_state,
                            pancharatnam_phase, stokes_of)
 from .propagation import (far_field, propagate, propagations,
                           stability_record)
-from .scenarios import frequency_shift_from_series, run_scenario, selftest
+from .scenarios import run_scenario, selftest
 
 __version__ = "0.1.0"

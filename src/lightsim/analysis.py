@@ -18,7 +18,6 @@ from .beams import ScalarField, max_abs
 from .constants import C_LIGHT, H_PLANCK
 from .errors import (LoopThroughZero, NonpositiveFrequency, RadiusOutOfGrid,
                      ZeroEnergy, ZeroField)
-from .polarization import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -194,13 +193,13 @@ def azimuthal_spectrum(s, r):
 
 def loop_winding(vals, peak, loop_radius):
     """Phase winding (exact integer) of the closed loop of field samples
-    `vals`; LoopThroughZero if one is within 1e-9 * `peak` of zero."""
+    `vals` and its phase steps angle(vals[i + 1] vals[i]*), the closing step
+    last; LoopThroughZero if a sample is within 1e-9 * `peak` of zero."""
     if np.min(np.abs(vals)) <= 1e-9 * peak:
         raise LoopThroughZero(
             f"loop at r={loop_radius:g} passes within 1e-9 of a field zero")
-    angles = np.angle(vals)
-    steps = wrap_angle(np.diff(np.concatenate([angles, angles[:1]])))
-    return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
+    steps = np.angle(np.roll(vals, -1) * vals.conj())
+    return int(round(float(np.sum(steps)) / (2.0 * math.pi))), steps
 
 
 def topological_charge(s, loop_radius, peak=None):
@@ -210,10 +209,10 @@ def topological_charge(s, loop_radius, peak=None):
     also a LoopThroughZero: the loop skirts a zero, and such steps alias
     (LG loops, |l| <= 10, p <= 5, n >= 64, w0/2 <= r <= 3 w0, that read
     step at most 0.11 rad; those beside a radial node 1.0-3 rad)."""
-    vals = _sample_circle(s, loop_radius, 720)
-    charge = loop_winding(vals, max_abs(s.amp) if peak is None else peak,
-                          loop_radius)
-    step = float(np.max(np.abs(np.angle(np.roll(vals, -1) * vals.conj()))))
+    charge, steps = loop_winding(_sample_circle(s, loop_radius, 720),
+                                 max_abs(s.amp) if peak is None else peak,
+                                 loop_radius)
+    step = float(np.max(np.abs(steps)))
     if step > math.pi / 4.0:
         raise LoopThroughZero(f"loop at r={loop_radius:g} steps {step:.3g} "
                               "rad in phase between samples, above pi/4")

@@ -109,7 +109,9 @@ ROTATION_SECTION = SectionSchema("rotation", [
     Key("omega", required=True),
     Key("periods", _parse_int, default=16,
         check=(lambda v: v > 0, "must be > 0")),
-    Key("samples", _parse_int, default=4096),
+    # at most 2^20 (16 MiB per complex series); >= 64 per period bounds periods
+    Key("samples", _parse_int, default=4096,
+        check=(lambda v: v <= 2 ** 20, "must be <= 1048576")),
 ], required=True, check=(
     lambda r: r["samples"] >= MIN_SAMPLES_PER_PERIOD * r["periods"],
     f"need >= {MIN_SAMPLES_PER_PERIOD} samples per rotation period"))

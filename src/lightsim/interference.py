@@ -77,4 +77,4 @@ def fringe_fork_count(image, grid, tilt, loop_radius):
     peaks, sq = _by_rows(demodulate, np.asarray(image, float)[lo:n - lo])
     loop = np.concatenate([sq[:-1, -1], sq[-1, :0:-1], sq[:0:-1, 0],
                            sq[0, :-1]])
-    return loop_winding(loop, float(peaks.max()), loop_radius)
+    return loop_winding(loop, float(peaks.max()), loop_radius)[0]

@@ -11,8 +11,8 @@ spectrum through mirrored views.  Each component is transformed forward
 once per beam, whatever the number of distances, and both transforms run
 in place as the two 1-D passes of `fft2`/`ifft2`.  Treating ex and ey alike
 neglects the longitudinal field, a paraxial approximation.  The far-field
-transform is a single Fraunhofer step whose output grid carries angular
-coordinates with pitch lambda / (n * pitch).
+transform is a single centered FFT, in place, whose output grid carries
+angular coordinates with pitch lambda / (n * pitch).
 """
 
 import math
@@ -103,37 +103,34 @@ def propagate(field, z):
     return next(propagations(field, [z]))
 
 
-def _centered_fft2(amp, n):
-    """DFT with both input and output sampled on cell-centered axes.
-
-    F[m] = sum_j a[j] exp(-2 pi i f_m x_j) with x_j = (j - n/2 + 1/2) p and
-    f_m = (m - n/2 + 1/2) / (n p), evaluated with one FFT plus phase ramps.
-    """
-    j = np.arange(n)  # input and output index alike
-    # exponent: -2pi i (m - n/2 + 1/2)(j - n/2 + 1/2)/n
-    pre = np.exp(-2j * math.pi * (j - n / 2 + 0.5) * (-n / 2 + 0.5) / n)
-    post = np.exp(-2j * math.pi * (j - n / 2 + 0.5) * (-n / 2 + 0.5) / n
-                  + 2j * math.pi * (-n / 2 + 0.5) ** 2 / n)
-    a = amp * pre[None, :] * pre[:, None]
-    f = np.fft.fft2(a)
-    return f * post[None, :] * post[:, None]
-
-
 def far_field(field):
     """Fraunhofer transform of each component; the output grid is in angle
     coordinates [rad].
 
-    Power is preserved (Parseval with the angular pitch lambda/(n*pitch)).
+    F[m] = sum_j a[j] exp(-2 pi i f_m x_j) on cell-centered axes, x_j = (j -
+    c) pitch and f_m = (m - c) / (n pitch) with c = n/2 - 1/2: per axis the
+    ramp exp(2 pi i c k / n) before and after one FFT, run in place, times
+    exp(-2 pi i c^2 / n).  Power is preserved (Parseval with the angular
+    pitch lambda/(n*pitch)).
     """
     grid = field.grid
     n = grid.n
     theta_pitch = grid.wavelength / (n * grid.pitch)
+    c = n / 2 - 0.5
+    ramp = np.exp(2j * math.pi * c * np.arange(n) / n)
+    # exp(-2 pi i c^2 / n) of both axes, and the Parseval scale
+    post = ramp * (np.exp(-4j * math.pi * c * c / n)
+                   * grid.pitch / (n * theta_pitch))
     out = []
     for amp in field.components:
         _check_edges(amp, "input")
-        f = _centered_fft2(amp, n) * grid.pitch ** 2
-        # scale so that sum |amp|^2 * theta_pitch^2 equals the input power
-        out.append(f / (n * grid.pitch * theta_pitch))
+        f = amp * ramp
+        f *= ramp[:, None]
+        np.fft.fft(f, axis=1, out=f)
+        np.fft.fft(f, axis=0, out=f)
+        f *= post
+        f *= ramp[:, None]
+        out.append(f)
     return type(field)(Grid(n, theta_pitch, grid.wavelength), *out)
 
 

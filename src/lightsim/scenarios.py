@@ -126,16 +126,6 @@ def oam_tolerance(grid):
 # ---------------------------------------------------------------------------
 # time-series measurement
 
-def frequency_shift_from_series(values, times):
-    """Peak angular frequency [rad/s] of a complex amplitude series."""
-    values = np.asarray(values, dtype=complex)
-    times = np.asarray(times, dtype=float)
-    dt = times[1] - times[0]
-    spectrum = np.fft.fft(values)
-    freqs = 2.0 * math.pi * np.fft.fftfreq(len(values), d=dt)
-    return float(freqs[int(np.argmax(np.abs(spectrum)))])
-
-
 def _rotation_times(omega, periods, samples):
     if omega == 0.0:
         duration = 1.0
@@ -145,11 +135,13 @@ def _rotation_times(omega, periods, samples):
 
 
 def _frequency_shift_row(cfg, vals, times):
-    """Peak frequency of the series against 2 omega, to within one bin."""
+    """Peak angular frequency [rad/s] of the complex series `vals` against
+    2 omega, to within one bin."""
     omega, periods = cfg["rotation"]["omega"], cfg["rotation"]["periods"]
     bin_width = 0.0 if omega == 0.0 else abs(omega) / periods
-    return SummaryRow(cfg.name, "frequency_shift",
-                      frequency_shift_from_series(vals, times), 2.0 * omega,
+    freqs = 2.0 * math.pi * np.fft.fftfreq(len(vals), d=times[1] - times[0])
+    peak = float(freqs[int(np.argmax(np.abs(np.fft.fft(vals))))])
+    return SummaryRow(cfg.name, "frequency_shift", peak, 2.0 * omega,
                       bin_width)
 
 

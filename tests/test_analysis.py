@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lightsim import (Grid, QPlateSpec, ScalarField, VectorField, am_ledger,
                       apply_qplate, azimuthal_spectrum, classical_ke,
@@ -9,9 +11,11 @@ from lightsim import (Grid, QPlateSpec, ScalarField, VectorField, am_ledger,
                       laguerre_gaussian, magnetic_energy_fraction,
                       momentum_density, photon_partition, plane_wave_em,
                       topological_charge, vector_field)
+from lightsim.analysis import loop_winding
 from lightsim.constants import C_LIGHT, H_PLANCK, HBAR
 from lightsim.errors import (LoopThroughZero, NonpositiveFrequency,
                              RadiusOutOfGrid, ZeroField)
+from lightsim.polarization import wrap_angle
 
 WAVELENGTH = 632.8e-7
 
@@ -176,6 +180,27 @@ def test_topological_charge_checks_the_loop_against_the_given_peak():
     # the given value is the peak the check reads, not a bound on it
     with pytest.raises(LoopThroughZero, match="within 1e-9 of a field zero"):
         topological_charge(s, 1.0, 1e12 * peak)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.floats(-2.9, 2.9), min_size=1, max_size=63),
+       start=st.floats(-math.pi, math.pi),
+       mags=st.lists(st.floats(1e-3, 1e3), min_size=64, max_size=64))
+@example(steps=[0.75 * math.pi] * 7, start=0.0, mags=[1.0] * 64)
+@example(steps=[-2.9] * 9, start=3.0, mags=[1e-3, 1e3] * 32)
+def test_loop_winding_steps_are_the_wrapped_angle_differences(steps, start,
+                                                              mags):
+    # a closed loop of nonzero samples whose phase steps, the closing one
+    # included, stay below 3 rad: the steps and the winding are those of
+    # the principal angles' wrapped differences
+    phases = start + np.cumsum([0.0, *steps])
+    assume(abs(wrap_angle(phases[0] - phases[-1])) < 3.0)
+    vals = np.array(mags[:len(phases)]) * np.exp(1j * phases)
+    angles = np.angle(vals)
+    ref = wrap_angle(np.diff(np.concatenate([angles, angles[:1]])))
+    charge, got = loop_winding(vals, float(np.max(np.abs(vals))), 1.0)
+    assert charge == round(float(np.sum(ref)) / (2.0 * math.pi))
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
 # --- energy and momentum densities ---

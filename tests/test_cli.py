@@ -216,6 +216,8 @@ z_list = 1, 2
     (HWP_PAIR_CONFIG + "periods = 0\n", []),
     (HWP_PAIR_CONFIG + "periods = -3\n", []),
     (HWP_PAIR_CONFIG + "periods = 16\nsamples = 1000\n", []),
+    # above the cap: refused before the series is allocated
+    (HWP_PAIR_CONFIG + "samples = 10000000000000\n", []),
     (QPLATE_CONFIG.replace("q = 1", "q = 0.3"), []),
     (QPLATE_CONFIG.replace("q = 1", "q = nan"), []),
     (QPLATE_CONFIG.replace("delta = pi", "delta = inf"), []),
@@ -242,7 +244,8 @@ z_list = 1, 2
     (None, ["--seed", "-1"]),
 ], ids=["gaussian-no-w0", "elliptical-no-wy", "unknown-kind", "lg-no-w0",
         "lg_oam-elliptical", "lg_oam-l", "lg_oam-p", "periods-0",
-        "periods-negative", "undersampled", "q-not-half-integer", "q-nan",
+        "periods-negative", "undersampled", "samples-above-cap",
+        "q-not-half-integer", "q-nan",
         "delta-inf", "z-negative", "nu-nan", "omega-nan",
         "wavelength-negative", "n-odd", "run-grid-n-odd",
         "selftest-grid-n-30", "n-above-cap", "selftest-grid-n-above-cap",
