@@ -13,7 +13,7 @@ import numpy as np
 import lightsim as ls
 
 # --- wave-vector sphere -------------------------------------------------
-great_circle = ls.qplate_k_path(q=1.0)
+great_circle = ls.qplate_k_path()
 omega = ls.solid_angle(great_circle)
 print(f"great-circle solid angle: {omega:.6f}  (2 pi = {2 * math.pi:.6f})")
 print(f"srp phase, helicity +1: {ls.srp_phase(great_circle, +1):+.6f}")

@@ -30,7 +30,8 @@ for rec in map(ls.stability_record, zs, ls.propagations(lg, zs)):
     print(f"  z = {rec['z'] / zr:3.1f} zR: width = {rec['width_x'] * 1e3:.3f} mm, "
           f"charge = {rec['charge']}, oam/photon = {rec['oam']:.4f} hbar")
 
-far = ls.far_field(lg)
-wx, wy = ls.am_ledger(far).widths
+far = ls.am_ledger(ls.far_field(lg))
+wx, wy = far.widths
 print(f"\nfar-field divergence (2 x rms): {wx * 1e3:.3f} mrad")
-print(f"far-field power / input power: {far.power / lg.power:.6f}")
+print(f"far-field power / input power: "
+      f"{far.power / ls.am_ledger(lg).power:.6f}")

@@ -14,7 +14,7 @@ import lightsim as ls
 
 grid = ls.Grid(512, 8e-3 / 512, 632.8e-9)
 beam = ls.vector_field(ls.gaussian(grid, 1e-3), ls.jones_state("L"))
-plate = ls.QPlateSpec(q=1.0, alpha0=0.0, delta=math.pi)
+plate = ls.QPlateSpec(q=1.0)
 
 out = ls.apply_qplate(plate, beam)
 
@@ -28,7 +28,8 @@ print(f"output: sam = {after.sam:+.6f}  oam = {after.oam:+.6f}  "
 psi_l, psi_r = ls.circular_components(out)
 charge = ls.topological_charge(psi_r, 1e-3)
 print(f"topological charge of the converted component: {charge}")
-print(f"power in the residual left-circular component: {psi_l.power:.3e}")
+residual = np.sum(np.abs(psi_l.amp) ** 2) * grid.pitch ** 2
+print(f"power in the residual left-circular component: {residual:.3e}")
 
 # the vortex phase staircase, sampled along a circle at the waist radius
 phi = np.linspace(-math.pi, math.pi, 9)[:-1]

@@ -49,7 +49,7 @@ def _pixel_sums(field):
     antisymmetric, sum Im(a* D a) = 2 sum_k c_k sum_i (u_i v_{i+k} -
     u_{i+k} v_i) on a grid line; a block takes the pairs whose row i + k
     it holds.  Power and Im<ex|ey> are summed alike, per block by
-    `beams.sum_abs2` and `beams.overlap`: SAM(L) = 1 exactly."""
+    `beams.sum_abs2` and `beams.overlap_imag`: SAM(L) = 1 exactly."""
     g, comps, x = field.grid, field.components, field.grid.axis()
     n, step = g.n, max(1, beams._BLOCK // g.n)
     rows, cols, row_x, *lags = np.zeros((9, n))  # 3 lags along y, 3 along x
@@ -60,7 +60,7 @@ def _pixel_sums(field):
         (u, v), (ub, vb) = buf[:, :m], buf[:, o:m]
         blocks = [a[r:e] for a in comps]
         total += sum(beams.sum_abs2(b) for b in blocks)
-        spin += sum(beams.overlap(a, b).imag
+        spin += sum(beams.overlap_imag(a, b)
                     for a, b in zip(blocks, blocks[1:]))
         for a in comps:
             np.copyto(u, a[lo:e].real)

@@ -47,11 +47,6 @@ class Grid:
     def axis(self):
         return (np.arange(self.n) - self.n / 2 + 0.5) * self.pitch
 
-    def polar(self):
-        """Meshgrid (R, PHI) of polar coordinates."""
-        X, Y = np.meshgrid(self.axis(), self.axis())
-        return np.hypot(X, Y), np.arctan2(Y, X)
-
 
 def _dot(a, b):
     return np.einsum("ij,ij->", a, b)
@@ -68,29 +63,21 @@ def sum_abs2(a):
     return float(_dot(u, u) + _dot(v, v))
 
 
+def overlap_imag(a, b):
+    """Im<a|b> over the pixels of two complex maps, like `sum_abs2`."""
+    return _dot(a.real, b.imag) - _dot(a.imag, b.real)
+
+
 def overlap(a, b):
     """<a|b> = sum conj(a) b over the pixels of two complex maps, summed
     like `sum_abs2`."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    return complex(_dot(ar, br) + _dot(ai, bi), _dot(ar, bi) - _dot(ai, br))
-
-
-class _Field:
-    """What scalar and vector fields share: `components`, the tuple of
-    complex arrays on `grid`, and the total power over all of them."""
-
-    @property
-    def power(self):
-        total = sum(sum_abs2(c) for c in self.components)
-        return total * self.grid.pitch ** 2
+    return complex(_dot(a.real, b.real) + _dot(a.imag, b.imag),
+                   overlap_imag(a, b))
 
 
 @dataclass(frozen=True)
-class ScalarField(_Field):
-    """Complex scalar amplitude sampled on a grid.
-
-    `components` is (amp,); `power` is sum |amp|^2 pitch^2.
-    """
+class ScalarField:
+    """Complex scalar amplitude sampled on a grid; `components` is (amp,)."""
 
     grid: Grid
     amp: np.ndarray
@@ -101,12 +88,12 @@ class ScalarField(_Field):
 
 
 @dataclass(frozen=True)
-class VectorField(_Field):
+class VectorField:
     """Two-component (ex, ey) transverse field on one shared grid.
 
-    `components` is (ex, ey), so kernels that act per component (power,
-    propagation, far field, OAM) treat it like a scalar field with two
-    amplitudes; `power` sums both.
+    `components` is (ex, ey), so kernels that act per component (the
+    ledger, propagation, far field) treat it like a scalar field with two
+    amplitudes.
     """
 
     grid: Grid

@@ -1,9 +1,9 @@
 """Spatially- and time-varying retarder elements.
 
-A q-plate is a half-wave (or general-retardance) element whose fast-axis
-angle varies with azimuth as alpha = q*phi + alpha0; applying it point by
-point with Jones calculus converts circular polarization handedness while
-imprinting an azimuthal phase exp(+-2i q phi).  The element is modeled as a
+A q-plate is a half-wave element whose fast-axis angle varies with
+azimuth as alpha = q*phi + alpha0; applying it point by point with Jones
+calculus converts circular polarization handedness while imprinting an
+azimuthal phase exp(+-2i q phi).  The element is modeled as a
 zero-thickness phase mask and alpha has no radial dependence.
 """
 
@@ -15,18 +15,17 @@ import numpy as np
 
 from .beams import MAX_L, VectorField, _by_rows, azimuthal_phase
 from .errors import UndersampledRotation
-from .polarization import JonesVector, retard
+from .polarization import JonesVector, half_wave
 
 MIN_SAMPLES_PER_PERIOD = 64
 
 
 @dataclass(frozen=True)
 class QPlateSpec:
-    """q-plate geometry: axis pattern charge q, offset alpha0, retardance."""
+    """q-plate geometry: axis pattern charge q and offset alpha0."""
 
     q: float
     alpha0: float = 0.0
-    delta: float = math.pi
 
     def __post_init__(self):
         two_q = 2.0 * self.q
@@ -42,13 +41,13 @@ class QPlateSpec:
 
 def apply_qplate(spec, f):
     """Apply the q-plate to every pixel of a vector field (unitary), by
-    blocks of rows: a waveplate whose axis angle alpha is given by the map
+    blocks of rows: a half-wave plate with axis angle alpha set by the map
     exp(2i alpha) = exp(2i alpha0) (exp(i phi))^(2q); 2q is an integer."""
     e2_alpha0 = cmath.exp(2j * spec.alpha0)
     # array first: numpy's complex product can differ in the last bit with
     # the operand order, and it took the whole-map product in place
     return VectorField(f.grid, *_by_rows(
-        lambda phase, ex, ey: retard(spec.delta, phase * e2_alpha0, ex, ey),
+        lambda phase, ex, ey: half_wave(phase * e2_alpha0, ex, ey),
         azimuthal_phase(f.grid, round(2.0 * spec.q)), f.ex, f.ey))
 
 
@@ -68,10 +67,10 @@ def _check_sampling(omega, times):
     return times
 
 
-def rotating_waveplate_series(delta, omega, input_state, times):
-    """Output of a waveplate spinning at omega, sampled at `times`: one
-    JonesVector whose ex and ey are arrays over the times."""
+def rotating_waveplate_series(omega, input_state, times):
+    """Output of a half-wave plate spinning at omega, sampled at `times`:
+    one JonesVector whose ex and ey are arrays over the times."""
     times = _check_sampling(omega, times)
     v = input_state
-    return JonesVector(*retard(delta, np.exp(2j * (omega * times)), v.ex, v.ey))
+    return JonesVector(*half_wave(np.exp(2j * (omega * times)), v.ex, v.ey))
 

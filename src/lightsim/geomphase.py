@@ -93,22 +93,11 @@ def srp_phase(path, helicity):
     return -float(helicity) * solid_angle(path)
 
 
-def qplate_k_path(q):
-    """Model wave-vector-space cycle of a q-plate, 256 points per turn.
-
-    The q = 1 half-wave plate maps to a single great circle (solid angle
-    2 pi).  Other charges traverse the great circle q times; the
-    construction for q != 1 is an extrapolation of the q = 1 picture and
-    requires an integer, nonzero winding so the path closes.
-    """
-    w = round(q)
-    if abs(q - w) > 1e-9 or w == 0:
-        raise DegenerateSegment(
-            f"q = {q:g} must be a nonzero integer for a closed wave-vector "
-            "cycle")
-    m = 256 * abs(w)
-    theta = 2.0 * math.pi * w * np.arange(m + 1) / m
-    pts = np.stack([np.cos(theta), np.sin(theta), np.zeros(m + 1)], axis=1)
+def qplate_k_path():
+    """Model wave-vector-space cycle of the q = 1 half-wave plate: a single
+    great circle (solid angle 2 pi) through 256 points."""
+    theta = 2.0 * math.pi * np.arange(257) / 256
+    pts = np.stack([np.cos(theta), np.sin(theta), np.zeros(257)], axis=1)
     return SpherePath(pts)
 
 

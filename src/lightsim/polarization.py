@@ -1,12 +1,12 @@
 """Jones calculus for fully polarized paraxial light: Jones states, Stokes
-parameters and `retard`, a retarder's closed form on a state's components.
+parameters and `half_wave`, the half-wave plate on a state's components.
 
 Conventions (used consistently throughout the package):
 
 * time dependence exp(-i w t)
 * left circular |L> = (1, i)/sqrt(2), which has Stokes s3 = +1
-* `retard` uses the symmetric form R(a) diag(e^{-i d/2}, e^{+i d/2}) R(-a),
-  so Pancharatnam phases between input and output are meaningful
+* `half_wave` uses the symmetric form R(a) diag(-i, +i) R(-a), so
+  Pancharatnam phases between input and output are meaningful
 * angles in radians; a phase arg(z) lies in (-pi, pi], an angle wrapped
   by `wrap_angle` in [-pi, pi)
 """
@@ -24,7 +24,7 @@ class JonesVector:
     """Transverse polarization state (complex amplitudes ex, ey).
 
     ex and ey may also be equal-shaped arrays (pixel maps, time samples):
-    `inner`, `stokes_of` and `retard` then act element by element.
+    `inner`, `stokes_of` and `half_wave` then act element by element.
     """
 
     ex: complex
@@ -92,18 +92,15 @@ def stokes_of(v):
     return StokesVector(ax2 + ay2, ax2 - ay2, 2.0 * cross.real, 2.0 * cross.imag)
 
 
-def retard(delta, e2, ex, ey):
-    """Apply a linear retarder of retardance `delta` to (ex, ey).
+def half_wave(e2, ex, ey):
+    """Apply a half-wave plate to (ex, ey).
 
-    The fast-axis angle a enters as e2 = exp(2i a), a scalar or a map
-    matching the components; returns the new (ex, ey).  This is the closed
-    form of R(a) diag(e^{-i d/2}, e^{+i d/2}) R(-a).
+    The fast-axis angle a enters as e2 = exp(2i a) = c + i s, a scalar or
+    a map matching the components; returns the new (ex, ey), the closed
+    form of R(a) diag(-i, +i) R(-a) = -i [[c, s], [s, -c]].
     """
-    ch = math.cos(delta / 2.0)
-    jsh = 1j * math.sin(delta / 2.0)
     c2, s2 = e2.real, e2.imag
-    return (ch * ex - jsh * (c2 * ex + s2 * ey),
-            ch * ey - jsh * (s2 * ex - c2 * ey))
+    return -1j * (c2 * ex + s2 * ey), -1j * (s2 * ex - c2 * ey)
 
 
 def pancharatnam_phase(a, b):

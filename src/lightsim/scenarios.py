@@ -24,8 +24,8 @@ from .constants import C_LIGHT, H_PLANCK, HBAR
 from .errors import ConfigError, LightsimError
 from .imageio import (write_csv, write_intensity_pgm, write_phase_pgm,
                       write_stokes_ppm)
-from .polarization import (JonesVector, StokesVector, jones_state, retard,
-                           stokes_of, wrap_angle)
+from .polarization import (JonesVector, StokesVector, half_wave,
+                           jones_state, stokes_of, wrap_angle)
 
 INFO = float("inf")  # tolerance marker for informational rows
 
@@ -68,7 +68,7 @@ def build_grid(cfg):
 
 def build_qplate(cfg):
     el = cfg["element"]
-    return _build(elements.QPlateSpec, el["q"], el["alpha0"], el["delta"])
+    return _build(elements.QPlateSpec, el["q"], el["alpha0"])
 
 
 def build_scalar_beam(grid, beam_cfg):
@@ -147,9 +147,8 @@ def _frequency_shift_row(cfg, vals, times):
 
 def _hwp_pair_output(omega, times):
     """|L> through a half-wave plate spinning at omega, then a fixed one."""
-    spun = elements.rotating_waveplate_series(math.pi, omega, jones_state("L"),
-                                              times)
-    return JonesVector(*retard(math.pi, 1.0, spun.ex, spun.ey))
+    spun = elements.rotating_waveplate_series(omega, jones_state("L"), times)
+    return JonesVector(*half_wave(1.0, spun.ex, spun.ey))
 
 
 def rotating_qplate_overlap_series(spec, f, omega, times):
@@ -161,13 +160,14 @@ def rotating_qplate_overlap_series(spec, f, omega, times):
     """
     ref = elements.apply_qplate(spec, f)
 
-    def overlap(a):  # the turned output is dropped once it is read
-        out = elements.apply_qplate(replace(spec, alpha0=spec.alpha0 + a), f)
+    def overlap(out):
         return f.grid.pitch ** 2 * sum(
             beams.overlap(u, v) for u, v in zip(ref.components, out.components))
 
-    c0, cp, cm = np.fft.fft([ref.power, overlap(math.pi / 3.0),
-                             overlap(2.0 * math.pi / 3.0)]) / 3.0
+    # the turned plates are built one at a time, each dropped once read
+    turned = (elements.apply_qplate(replace(spec, alpha0=spec.alpha0 + a), f)
+              for a in (math.pi / 3.0, 2.0 * math.pi / 3.0))
+    c0, cp, cm = np.fft.fft([overlap(ref), *map(overlap, turned)]) / 3.0
     return (c0 + cp * np.exp(2j * omega * times)
             + cm * np.exp(-2j * omega * times))
 
@@ -266,7 +266,7 @@ def _scenario_lg_oam(cfg, outdir, rng):
 
 
 def _scenario_srp_greatcircle(cfg, outdir, rng):
-    path = geomphase.qplate_k_path(1.0)
+    path = geomphase.qplate_k_path()
     omega = geomphase.solid_angle(path)
     srp_plus = geomphase.srp_phase(path, +1)
     srp_minus = geomphase.srp_phase(path, -1)

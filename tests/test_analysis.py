@@ -17,6 +17,8 @@ from lightsim.errors import (LoopThroughZero, NonpositiveFrequency,
                              RadiusOutOfGrid, ZeroField)
 from lightsim.polarization import wrap_angle
 
+from helpers import polar
+
 WAVELENGTH = 632.8e-7
 
 
@@ -26,7 +28,7 @@ def make_grid(n=256, window=8.0):
 
 def vortex(grid, l, w0=1.0):
     """Gaussian envelope with a pure exp(i l phi) winding."""
-    _, phi = grid.polar()
+    _, phi = polar(grid)
     return ScalarField(grid, gaussian(grid, w0).amp * np.exp(1j * l * phi))
 
 

@@ -78,7 +78,7 @@ def test_solid_angle_resampling_invariance():
 
 
 def test_srp_signs_and_sum():
-    path = qplate_k_path(1.0)
+    path = qplate_k_path()
     assert solid_angle(path) == pytest.approx(2.0 * math.pi, abs=1e-6)
     plus = srp_phase(path, +1)
     minus = srp_phase(path, -1)
@@ -89,25 +89,7 @@ def test_srp_signs_and_sum():
 
 def test_srp_rejects_other_helicities():
     with pytest.raises(ValueError):
-        srp_phase(qplate_k_path(1.0), 0)
-
-
-def test_qplate_k_path_multi_turn():
-    # each of the q turns adds the great circle's own 2 pi
-    for q in (1.0, 2.0, 3.0):
-        assert solid_angle(qplate_k_path(q)) == pytest.approx(
-            2.0 * math.pi * q, abs=1e-5)
-    # a single great circle encloses 2 pi whichever way it is traversed
-    # (the two orientations differ by 4 pi, i.e. the full sphere)
-    assert solid_angle(qplate_k_path(-1.0)) == pytest.approx(2.0 * math.pi,
-                                                             abs=1e-5)
-
-
-def test_qplate_k_path_requires_integer_winding():
-    with pytest.raises(DegenerateSegment):
-        qplate_k_path(0.5)
-    with pytest.raises(DegenerateSegment):
-        qplate_k_path(0.0)
+        srp_phase(qplate_k_path(), 0)
 
 
 def test_poincare_points_of_basis_states():

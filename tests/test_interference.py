@@ -14,6 +14,8 @@ from lightsim.errors import (RadiusOutOfGrid, TiltTooSmall,
 from lightsim.interference import MIN_CARRIER_PHASE
 from lightsim.scenarios import execute
 
+from helpers import polar
+
 WAVELENGTH = 632.8e-7  # cm
 WINDOW = 8.0
 W0 = 1.0  # the loop radius of the fork reader too
@@ -28,7 +30,7 @@ def tilt_for_fringes(fringes):
 
 
 def vortex(grid, l, w0=W0):
-    _, phi = grid.polar()
+    _, phi = polar(grid)
     return ScalarField(grid, gaussian(grid, w0).amp * np.exp(1j * l * phi))
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lightsim import JonesVector, jones_state, pancharatnam_phase, stokes_of
 from lightsim.errors import OrthogonalStates, ZeroState
-from lightsim.polarization import retard, wrap_angle
+from lightsim.polarization import half_wave, wrap_angle
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -56,44 +56,44 @@ def test_stokes_purity_random_states():
             s.s0, rel=1e-12)
 
 
-# retard on the basis states (1, 0) and (0, 1), the rows of np.eye(2),
-# gives the retarder's 2x2 Jones matrix, its outputs (ex, ey) as rows
+# half_wave on the basis states (1, 0) and (0, 1), the rows of np.eye(2),
+# gives the plate's 2x2 Jones matrix, its outputs (ex, ey) as rows
 
 def test_hwp_at_zero_is_minus_i_diag():
-    np.testing.assert_allclose(retard(math.pi, 1.0, *np.eye(2)),
+    np.testing.assert_allclose(half_wave(1.0, *np.eye(2)),
                                -1j * np.diag([1.0, -1.0]), atol=1e-15)
+
+
+def test_half_wave_is_its_closed_form_to_the_bit():
+    # -i [[c, s], [s, -c]] with c + i s = e2, for axes all round the circle
+    rng = np.random.default_rng(5)
+    for e2 in np.exp(1j * rng.uniform(-math.pi, math.pi, 200)):
+        c, s = e2.real, e2.imag
+        np.testing.assert_array_equal(half_wave(e2, *np.eye(2)),
+                                      -1j * np.array([[c, s], [s, -c]]))
 
 
 def test_waveplate_unitary_random_args():
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        delta, alpha = rng.uniform(-2 * math.pi, 2 * math.pi, size=2)
-        m = np.array(retard(delta, cmath.exp(2j * alpha), *np.eye(2)))
+    for alpha in rng.uniform(-2 * math.pi, 2 * math.pi, 200):
+        m = np.array(half_wave(cmath.exp(2j * alpha), *np.eye(2)))
         np.testing.assert_allclose(m.conj().T @ m, np.eye(2), rtol=0,
                                    atol=1e-12)
 
 
-def test_waveplate_composition_same_axis():
-    # two retarders on one axis compose to the summed retardance
-    e2 = cmath.exp(2j * 0.3)
-    np.testing.assert_allclose(retard(0.7, e2, *retard(0.5, e2, *np.eye(2))),
-                               retard(1.2, e2, *np.eye(2)), atol=1e-14)
-
-
 def test_rotated_waveplate_conjugation():
-    # R(a) M(0) R(-a): the axis-0 retarder on the columns of R(-a), then R(a)
-    delta, alpha = 1.1, 0.4
-    m = rotation(alpha) @ np.array(retard(delta, 1.0, *rotation(-alpha)))
+    # R(a) M(0) R(-a): the axis-0 plate on the columns of R(-a), then R(a)
+    alpha = 0.4
+    m = rotation(alpha) @ np.array(half_wave(1.0, *rotation(-alpha)))
     np.testing.assert_allclose(
-        m, retard(delta, cmath.exp(2j * alpha), *np.eye(2)), atol=1e-14)
+        m, half_wave(cmath.exp(2j * alpha), *np.eye(2)), atol=1e-14)
 
 
 def test_hwp_flips_helicity_with_phase():
     # HWP at angle a maps |L> to -i e^{2ia} |R>
     alpha = 0.35
     left = jones_state("L")
-    out = JonesVector(*retard(math.pi, cmath.exp(2j * alpha), left.ex,
-                              left.ey))
+    out = JonesVector(*half_wave(cmath.exp(2j * alpha), left.ex, left.ey))
     expect = -1j * cmath.exp(2j * alpha)
     r = jones_state("R")
     assert abs(out.ex - expect * r.ex) < 1e-15
@@ -101,22 +101,13 @@ def test_hwp_flips_helicity_with_phase():
     assert stokes_of(out).s3 == pytest.approx(-1.0, abs=1e-15)
 
 
-def test_qwp_turns_diagonal_into_circular():
-    # a quarter-wave plate at 45 degrees
-    h = jones_state("H")
-    out = JonesVector(*retard(math.pi / 2, cmath.exp(2j * math.pi / 4), h.ex,
-                              h.ey))
-    s = stokes_of(out)
-    assert abs(s.s3) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_retard_preserves_norm():
     rng = np.random.default_rng(3)
     for _ in range(100):
         re = rng.normal(size=4)
         v = JonesVector(complex(re[0], re[1]), complex(re[2], re[3]))
-        delta, alpha = rng.uniform(-3, 3, size=2)
-        out = JonesVector(*retard(delta, cmath.exp(2j * alpha), v.ex, v.ey))
+        alpha = rng.uniform(-3, 3)
+        out = JonesVector(*half_wave(cmath.exp(2j * alpha), v.ex, v.ey))
         assert out.norm() == pytest.approx(v.norm(), rel=1e-12)
 
 
