@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import beams
-from .beams import ScalarField, max_abs
+from .beams import max_abs
 from .constants import C_LIGHT, H_PLANCK
 from .errors import (LoopThroughZero, NonpositiveFrequency, RadiusOutOfGrid,
                      ZeroEnergy, ZeroField)
@@ -138,15 +138,15 @@ def _spline_taps(x, m):
 
 
 def loop_crop(s, radius):
-    """The centered crop of the scalar field `s` that a circle of `radius`
-    is read from: the circle plus `CROP_MARGIN`, clipped to the grid."""
+    """The centered crop of the field `s` that a circle of `radius` is read
+    from: the circle plus `CROP_MARGIN`, clipped to the grid."""
     g = s.grid
     half = g.window / 2.0 - g.pitch
     if not (0.0 < radius < half):
         raise RadiusOutOfGrid(f"radius {radius:g} outside (0, {half:g})")
     lo = max(0, math.floor(g.n / 2 - 0.5 - radius / g.pitch) - CROP_MARGIN)
-    return ScalarField(replace(g, n=g.n - 2 * lo),
-                       s.amp[lo:g.n - lo, lo:g.n - lo])
+    return type(s)(replace(g, n=g.n - 2 * lo),
+                   *(a[lo:g.n - lo, lo:g.n - lo] for a in s.components))
 
 
 def _sample_circle(s, radius, samples):

@@ -278,9 +278,15 @@ def circular_component(f, hand):
     psi_L = <L|field> = (ex - i ey)/sqrt(2) and psi_R = <R|field> =
     (ex + i ey)/sqrt(2) per pixel, as a scalar field.
     """
+    project = circular_projection(hand)
+    return ScalarField(f.grid, *_by_rows(lambda ex, ey: (project(ex, ey),),
+                                         f.ex, f.ey))
+
+
+def circular_projection(hand):
+    """The pixelwise formula of `circular_component`, of (ex, ey) maps."""
     i = -1j if hand == "L" else 1j
-    return ScalarField(f.grid, *_by_rows(
-        lambda ex, ey: ((ex + i * ey) * (1.0 / math.sqrt(2.0)),), f.ex, f.ey))
+    return lambda ex, ey: (ex + i * ey) * (1.0 / math.sqrt(2.0))
 
 
 def circular_components(f):

@@ -39,16 +39,22 @@ class QPlateSpec:
                 f"got q={self.q}")
 
 
+def qplate_formula(spec, grid):
+    """(winding, plate): the map (exp(i phi))^(2q) on `grid`, and the
+    q-plate plate(winding, ex, ey) on a block of rows of it and a field."""
+    e2_alpha0 = cmath.exp(2j * spec.alpha0)
+    # array first: numpy's complex product can differ in the last bit with
+    # the operand order, and it took the whole-map product in place
+    return (azimuthal_phase(grid, round(2.0 * spec.q)),
+            lambda winding, ex, ey: half_wave(winding * e2_alpha0, ex, ey))
+
+
 def apply_qplate(spec, f):
     """Apply the q-plate to every pixel of a vector field (unitary), by
     blocks of rows: a half-wave plate with axis angle alpha set by the map
     exp(2i alpha) = exp(2i alpha0) (exp(i phi))^(2q); 2q is an integer."""
-    e2_alpha0 = cmath.exp(2j * spec.alpha0)
-    # array first: numpy's complex product can differ in the last bit with
-    # the operand order, and it took the whole-map product in place
-    return VectorField(f.grid, *_by_rows(
-        lambda phase, ex, ey: half_wave(phase * e2_alpha0, ex, ey),
-        azimuthal_phase(f.grid, round(2.0 * spec.q)), f.ex, f.ey))
+    winding, plate = qplate_formula(spec, f.grid)
+    return VectorField(f.grid, *_by_rows(plate, winding, f.ex, f.ey))
 
 
 def _check_sampling(omega, times):

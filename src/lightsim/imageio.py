@@ -2,57 +2,64 @@
 
 Intensity and phase maps go to 16-bit big-endian portable graymaps (P5);
 Stokes composites to 8-bit portable pixmaps (P6) with (s1, s2, s3) mapped
-affinely from [-1, 1] onto the RGB channels.  CSV files use a header row,
-'.' decimal separator, 17-significant-digit scientific notation and LF
-line endings.
+affinely from [-1, 1] onto the RGB channels; maps are quantized by blocks
+of rows.  CSV files use a header row, '.' decimal separator,
+17-significant-digit scientific notation and LF line endings.
 """
 
 import math
 
 import numpy as np
 
+from .beams import _by_rows
 
-def _write_pnm(path, magic, maxval, payload, shape):
-    h, w = shape
-    header = f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii")
+
+def _write_pnm(path, magic, maxval, levels, *maps):
+    """Binary PNM of the quantized levels(*maps), evaluated on blocks of
+    rows into one array whose buffer is written as the payload."""
+    data, = _by_rows(lambda *rows: (levels(*rows),), *maps)
+    h, w = data.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+        fh.write(f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii"))
+        fh.write(data)
 
 
 def write_intensity_pgm(path, intensity):
     """16-bit P5 graymap of a nonnegative map, scaled to its own peak."""
     arr = np.asarray(intensity, dtype=float)
     peak = float(arr.max())
-    scaled = arr / peak if peak > 0.0 else arr
-    data = np.round(scaled * 65535.0).astype(">u2")
-    _write_pnm(path, "P5", 65535, data.tobytes(), arr.shape)
+    peak = peak if peak > 0.0 else 1.0  # unscaled: x / 1.0 is x
+    _write_pnm(path, "P5", 65535, lambda rows: np.round(
+        rows / peak * 65535.0).astype(">u2"), arr)
 
 
 def write_phase_pgm(path, phase):
-    """16-bit P5 graymap of a phase map, (-pi, pi] mapped linearly."""
-    arr = np.asarray(phase, dtype=float)
-    frac = (arr + math.pi) / (2.0 * math.pi)  # (-pi, pi] -> (0, 1]
-    data = np.round(np.clip(frac, 0.0, 1.0) * 65535.0).astype(">u2")
-    _write_pnm(path, "P5", 65535, data.tobytes(), arr.shape)
+    """16-bit P5 graymap of a phase map, (-pi, pi] mapped linearly onto
+    (0, 1]."""
+    _write_pnm(path, "P5", 65535, lambda rows: np.round(np.clip(
+        (rows + math.pi) / (2.0 * math.pi), 0.0, 1.0) * 65535.0).astype(">u2"),
+        np.asarray(phase, dtype=float))
 
 
 def write_stokes_ppm(path, s):
     """8-bit P6 pixmap with normalized (s1, s2, s3) as RGB, from pixelwise
     Stokes maps such as `stokes_of(field)`.
 
-    Each channel is scaled in one float map and stored into the uint8
-    pixmap before the next, so no float RGB stack is built.
+    Each channel of a block is scaled in one float array and stored into
+    the uint8 pixmap before the next, so no float RGB stack is built.
     """
-    s0 = np.where(s.s0 > 0.0, s.s0, 1.0)
-    data = np.empty(s0.shape + (3,), dtype=np.uint8)
-    for channel, sk in enumerate((s.s1, s.s2, s.s3)):
-        c = sk / s0
-        np.clip(c, -1.0, 1.0, out=c)
-        c += 1.0
-        c *= 127.5
-        data[..., channel] = np.round(c, out=c)
-    _write_pnm(path, "P6", 255, data.tobytes(), data.shape[:2])
+    def levels(s0, *channels):
+        s0 = np.where(s0 > 0.0, s0, 1.0)
+        data = np.empty(s0.shape + (3,), dtype=np.uint8)
+        for channel, sk in enumerate(channels):
+            c = sk / s0
+            np.clip(c, -1.0, 1.0, out=c)
+            c += 1.0
+            c *= 127.5
+            data[..., channel] = np.round(c, out=c)
+        return data
+
+    _write_pnm(path, "P6", 255, levels, s.s0, s.s1, s.s2, s.s3)
 
 
 def format_number(x):

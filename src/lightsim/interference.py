@@ -45,8 +45,9 @@ def interference_image(out, tilt):
     peak = max_abs(out.amp)
     if peak == 0.0:
         raise ZeroField("cannot interfere a zero field")
-    img = np.abs(out.amp / peak + np.exp(1j * kx * grid.axis())) ** 2
-    return img / img.max()
+    carrier = np.exp(1j * kx * grid.axis())
+    img, = _by_rows(lambda a: (np.abs(a / peak + carrier) ** 2,), out.amp)
+    return np.divide(img, img.max(), out=img)
 
 
 def fringe_fork_count(image, grid, tilt, loop_radius):

@@ -56,38 +56,39 @@ def propagations(field, zs):
 
     Every z is checked, then the input edges, before any transform; each
     component is transformed forward once and k_z is built once, so each
-    output costs a transfer phase and an inverse FFT per component.  The
-    generator holds the spectra, not its outputs: a caller that drops each
-    output before asking for the next keeps one output plane alive.
+    output costs a transfer phase and an inverse FFT per component.  Input
+    maps are let go once transformed and the last z advances in place: with
+    the input and each output dropped before the next, one plane is alive.
     """
     zs = list(zs)
     if any(z < 0.0 for z in zs):
         raise ValueError("propagation distance must be nonnegative")
-    for amp in field.components:
+    grid, make, amps = field.grid, type(field), list(field.components)
+    for amp in amps:
         _check_edges(amp, "input")
-    grid, make = field.grid, type(field)
-    specs = [np.fft.fft(amp, axis=1) for amp in field.components]
+    del field, amp
+    specs = [np.fft.fft(amps.pop(0), axis=1) for _ in range(len(amps))]
     for spec in specs:
         np.fft.fft(spec, axis=0, out=spec)
     kz, evanescent = _kz(grid)
-    for z in zs:
-        yield make(grid,
-                   *(_advance(spec, kz, evanescent, z) for spec in specs))
+    for i, z in enumerate(zs):
+        yield make(grid, *(_advance(spec, kz, evanescent, z, i == len(zs) - 1)
+                           for spec in specs))
 
 
-def _advance(spec, kz, evanescent, z):
+def _advance(spec, kz, evanescent, z, in_place):
     """Inverse FFT of a spectrum times the transfer function, which is
     exp(i z k_z) on the propagating frequencies and 0 on the evanescent
-    ones.  The transfer function is computed on the block of `_kz`, and
-    each quarter of the spectrum is multiplied by a view of it: rows and
-    columns past n/2 read the block at n - k."""
+    ones, into the spectrum if `in_place`.  The transfer function is on the
+    block of `_kz`, and each quarter of the spectrum is multiplied by a view
+    of it: rows and columns past n/2 read the block at n - k."""
     h = 1j * z * kz
     np.exp(h, out=h)
     h[evanescent] = 0.0
     half = len(h) - 1
     parts = ((slice(None, half + 1), slice(None)),
              (slice(half + 1, None), slice(half - 1, 0, -1)))
-    prod = np.empty_like(spec)
+    prod = spec if in_place else np.empty_like(spec)
     for rows, hrows in parts:
         for cols, hcols in parts:
             np.multiply(spec[rows, cols], h[hrows, hcols],
@@ -100,7 +101,9 @@ def _advance(spec, kz, evanescent, z):
 
 def propagate(field, z):
     """Propagate a scalar or vector field by distance z >= 0."""
-    return next(propagations(field, [z]))
+    steps = propagations(field, [z])
+    del field
+    return next(steps)
 
 
 def far_field(field):

@@ -107,13 +107,6 @@ def build_vector_beam(cfg):
                               jones_state(cfg["polarization"]["kind"]))
 
 
-def stokes_maps(f):
-    """`stokes_of(f)`, the Stokes maps of a vector field, by blocks of rows."""
-    return StokesVector(*beams._by_rows(
-        lambda ex, ey: vars(stokes_of(JonesVector(ex, ey))).values(),
-        f.ex, f.ey))
-
-
 def oam_tolerance(grid):
     """Discretization-aware OAM check tolerance.
 
@@ -176,32 +169,39 @@ def rotating_qplate_overlap_series(spec, f, omega, times):
 # scenario runners
 
 def _scenario_qplate_conversion(cfg, outdir, rng):
-    # Each n x n map is dropped once nothing below reads it: the input
-    # field and its Stokes maps are gone before the output's are built.
-    field_in = build_vector_beam(cfg)
-    grid = field_in.grid
-    spec = build_qplate(cfg)
-    ledger_in = analysis.am_ledger(field_in)
-    s_in = stokes_maps(field_in)
-    mask = s_in.s0 > 1e-9 * float(np.max(s_in.s0))
-    ratio_in = s_in.s3[mask] / s_in.s0[mask]
-    del s_in
-    field_out = elements.apply_qplate(spec, field_in)
-    del field_in
-    ledger_out = analysis.am_ledger(field_out)
-
+    # The q-plate output overwrites the input field by blocks of rows, each
+    # read before and after; for the images, the output's four Stokes maps
+    # overwrite it in turn, in the real and imaginary parts of ex and ey.
+    # Beside the field, only the plate's winding and the phase image are
+    # whole maps.
+    field = build_vector_beam(cfg)
+    grid, spec = field.grid, build_qplate(cfg)
+    ledger_in = analysis.am_ledger(field)
     s3_sign = 1.0 if ledger_in.sam >= 0.0 else -1.0
     charge_expected = beam_charge(cfg["beam"]) + 2.0 * spec.q * s3_sign
+    threshold = 1e-9 * float(np.max(*beams._by_rows(lambda ex, ey: (
+        stokes_of(JonesVector(ex, ey)).s0.max(axis=1),), field.ex, field.ey)))
+    hand = "R" if s3_sign > 0 else "L"
+    project = beams.circular_projection(hand)
+    winding, plate = elements.qplate_formula(spec, grid)
 
-    s_out = stokes_maps(field_out)
-    flip_dev = float(np.max(np.abs(s_out.s3[mask] / s_out.s0[mask]
-                                   + ratio_in)))
-    del ratio_in, mask
+    def convert(winding, ex, ey):
+        s = stokes_of(JonesVector(ex, ey))
+        mask = s.s0 > threshold
+        ratio_in = s.s3[mask] / s.s0[mask]
+        ex[...], ey[...] = plate(winding, ex, ey)
+        s = stokes_of(JonesVector(ex, ey))
+        dev = np.zeros(mask.shape)
+        dev[mask] = np.abs(s.s3[mask] / s.s0[mask] + ratio_in)
+        return dev.max(axis=1), np.abs(project(ex, ey)).max(axis=1)
 
-    converted = beams.circular_component(field_out,
-                                         "R" if s3_sign > 0 else "L")
-    del field_out
-    charge = analysis.topological_charge(converted, beam_waist(cfg["beam"]))
+    flip_dev, psi_peak = (float(np.max(a)) for a in beams._by_rows(
+        convert, winding, field.ex, field.ey))
+    del winding
+    ledger_out = analysis.am_ledger(field)
+    loop_radius = beam_waist(cfg["beam"])
+    charge = analysis.topological_charge(beams.circular_component(
+        analysis.loop_crop(field, loop_radius), hand), loop_radius, psi_peak)
 
     tol = oam_tolerance(grid)
     name = cfg.name
@@ -218,9 +218,18 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
                    1.0, 1e-12),
     ]
     if outdir is not None:
-        write_intensity_pgm(outdir / "intensity_out.pgm", s_out.s0)
-        write_phase_pgm(outdir / "phase_converted.pgm", np.angle(converted.amp))
-        write_stokes_ppm(outdir / "stokes_out.ppm", s_out)
+        def stokes_in_place(ex, ey):
+            phase = np.angle(project(ex, ey))
+            s = stokes_of(JonesVector(ex, ey))
+            ex.real, ex.imag, ey.real, ey.imag = s.s0, s.s1, s.s2, s.s3
+            return (phase,)
+
+        phase, = beams._by_rows(stokes_in_place, field.ex, field.ey)
+        s = StokesVector(field.ex.real, field.ex.imag, field.ey.real,
+                         field.ey.imag)
+        write_intensity_pgm(outdir / "intensity_out.pgm", s.s0)
+        write_phase_pgm(outdir / "phase_converted.pgm", phase)
+        write_stokes_ppm(outdir / "stokes_out.ppm", s)
     return rows
 
 
@@ -385,13 +394,13 @@ def _scenario_rotating_qplate(cfg, outdir, rng):
 
 def _scenario_propagation_stability(cfg, outdir, rng):
     beam_cfg = cfg["beam"]
-    beam = build_beam(cfg)
     zs = cfg["propagation"]["z_list"]
     # one pass over the distinct distances and z/2, for the semigroup row
     z = max(zs)
     steps = list(dict.fromkeys([*zs, z / 2]))
     records, planes = {}, {}
-    for step, out in zip(steps, propagation.propagations(beam, steps)):
+    for step, out in zip(steps, propagation.propagations(build_beam(cfg),
+                                                          steps)):
         if step in zs:
             records[step] = propagation.stability_record(step, out)
         if step in (z, z / 2):
@@ -408,17 +417,17 @@ def _scenario_propagation_stability(cfg, outdir, rng):
                      SummaryRow(name, f"oam_{tag}", rec["oam"], l, 2e-3)]
         elif kind == "gaussian":
             w0 = beam_cfg["w0"]
-            zr = math.pi * w0 ** 2 / beam.grid.wavelength
+            zr = math.pi * w0 ** 2 / cfg["grid"]["wavelength"]
             w_expect = w0 * math.sqrt(1.0 + (z_i / zr) ** 2)
             rows.append(SummaryRow(name, f"gaussian_width_{tag}",
                                    0.5 * (rec["width_x"] + rec["width_y"]),
                                    w_expect, 0.005 * w_expect))
             rows.append(SummaryRow(name, f"oam_{tag}", rec["oam"], 0.0, 1e-9))
     # semigroup property: two half steps equal one full step
-    del beam  # not needed for the second half step
-    one, two = planes[z], propagation.propagate(planes[z / 2], z / 2)
-    err = math.sqrt(beams.sum_abs2(two.amp - one.amp)
-                    / beams.sum_abs2(one.amp))
+    one = planes[z].amp
+    diff = propagation.propagate(planes.pop(z / 2), z / 2).amp
+    diff -= one
+    err = math.sqrt(beams.sum_abs2(diff) / beams.sum_abs2(one))
     rows.append(SummaryRow(name, "semigroup_rel_err", err, 0.0, 1e-9))
     return rows
 

@@ -10,7 +10,8 @@ the angular-spectrum transfer phase) must agree with their full-grid
 formulas bit for bit, signed zeros included, and so must the elliptical
 Gaussian, evaluated against broadcast axes, with the full meshgrid.  The
 pixel kernels evaluated by blocks of rows (the q-plate output, circular
-components, Stokes maps and the |psi| peak) must agree bit for bit with
+components, `qplate_conversion`'s passes over its Stokes maps, the |psi|
+peak, the interferogram and the image writers) must agree bit for bit with
 their whole-map formulas, with blocks that end mid-grid.  A field's pixel
 sums (power, SAM, OAM and the row and column sums of the widths), taken
 in one pass by blocks of rows, must agree with the whole-map sums to
@@ -30,6 +31,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +57,13 @@ from lightsim.config import validate
 from lightsim.elements import apply_qplate
 from lightsim.errors import LightsimError
 from lightsim.geomphase import _fan_apex
-from lightsim.imageio import write_stokes_ppm
+from lightsim.imageio import (write_intensity_pgm, write_phase_pgm,
+                              write_stokes_ppm)
 from lightsim.polarization import half_wave
 from lightsim.scenarios import (SCENARIOS, SummaryRow,
-                                _scenario_generalized_charge, beam_charge,
-                                beam_waist, build_beam, build_scalar_beam,
-                                stokes_maps)
+                                _scenario_generalized_charge,
+                                _scenario_qplate_conversion, beam_charge,
+                                beam_waist, build_beam, build_scalar_beam)
 
 from helpers import polar
 
@@ -146,6 +149,21 @@ def stokes_ppm_stacked(s):
     rgb = np.stack([s.s1 / s0, s.s2 / s0, s.s3 / s0], axis=-1)
     return np.round((np.clip(rgb, -1.0, 1.0) + 1.0) * 127.5).astype(
         np.uint8).tobytes()
+
+
+def intensity_pgm_whole(intensity):
+    """P5 pixel bytes of a nonnegative map scaled to its peak, on the whole
+    map."""
+    peak = float(intensity.max())
+    scaled = intensity / peak if peak > 0.0 else intensity
+    return np.round(scaled * 65535.0).astype(">u2").tobytes()
+
+
+def phase_pgm_whole(phase):
+    """P5 pixel bytes of a phase map, (-pi, pi] mapped linearly, on the
+    whole map."""
+    frac = (phase + math.pi) / (2.0 * math.pi)
+    return np.round(np.clip(frac, 0.0, 1.0) * 65535.0).astype(">u2").tobytes()
 
 
 def propagate_masked_transfer(amp, grid, z):
@@ -745,15 +763,141 @@ def test_blocked_circular_fields_match_whole_grid_bits(n, seed):
         assert same_bits(psi[hand], ref), hand
 
 
+QC_SCHEMAS = SCENARIOS["qplate_conversion"][0]
+
+
+def pnm_payload(path, header):
+    data = path.read_bytes()
+    assert data[:len(header)] == header
+    return data[len(header):]
+
+
+def qplate_conversion_whole_grid(cfg, f):
+    """`qplate_conversion`'s checked values and image payloads for the input
+    field f, from whole maps: the q-plate output beside its input, both
+    Stokes sets, the converted component and the image formulas each on the
+    whole grid."""
+    el = cfg["element"]
+    e2 = (azimuthal_phase(f.grid, round(2.0 * el["q"]))
+          * cmath.exp(2j * el["alpha0"]))
+    out = VectorField(f.grid, *half_wave(e2, f.ex, f.ey))
+    s_in, s_out = stokes_of(f), stokes_of(out)
+    mask = s_in.s0 > 1e-9 * float(np.max(s_in.s0))
+    ledger_in, ledger_out = am_ledger(f), am_ledger(out)
+    i = 1j if ledger_in.sam >= 0.0 else -1j
+    psi = (out.ex + i * out.ey) * (1.0 / math.sqrt(2.0))
+    values = {
+        "sam_in": ledger_in.sam, "sam_out": ledger_out.sam,
+        "s3_pointwise_flip_dev": float(np.max(np.abs(
+            s_out.s3[mask] / s_out.s0[mask] + s_in.s3[mask] / s_in.s0[mask]))),
+        "charge_out": topological_charge(ScalarField(f.grid, psi),
+                                         beam_waist(cfg["beam"])),
+        "oam_out": ledger_out.oam,
+        "ledger_imbalance": ledger_out.total - ledger_in.total,
+        "power_ratio": ledger_out.power / ledger_in.power}
+    return values, [intensity_pgm_whole(s_out.s0),
+                    phase_pgm_whole(np.angle(psi)), stokes_ppm_stacked(s_out)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=waisted_n.filter(lambda n: n % 7), frac=st.floats(0.0, 1.0),
+       kind=st.sampled_from(["gaussian", "lg", "vortex"]),
+       l=st.integers(-3, 3), p=st.integers(0, 1),
+       pol=st.one_of(st.sampled_from("LR"),
+                     st.tuples(st.floats(-0.7, 0.7), st.floats(0.0, 3.2))),
+       two_q=st.integers(-4, 4), alpha0=st.sampled_from([0.0, 0.37]))
+@example(n=34, frac=1.0, kind="gaussian", l=0, p=0, pol="L", two_q=2,
+         alpha0=0.0)
+@example(n=64, frac=0.5, kind="lg", l=1, p=0, pol=(0.3, 0.4), two_q=1,
+         alpha0=0.37)  # elliptical: s1 and s2 vary over the output
+def test_blocked_stokes_maps_match_whole_grid_bits(n, frac, kind, l, p, pol,
+                                                    two_q, alpha0):
+    """`qplate_conversion` overwrites its input with the q-plate output by
+    blocks of 7 rows, reading both Stokes sets on each block, then writes
+    the output's Stokes maps over it for its images: the checked values,
+    errors and image bytes are those of the chain on whole maps.  Besides
+    the L and R inputs its configs allow, the input may be elliptical, with
+    ellipticity angle chi and orientation theta, so that every Stokes map
+    of the output varies."""
+    g = Grid(n, 8e-3 / n, 632.8e-9)
+    beam = {"kind": kind, "w0": waist(g, frac), "l": l, "p": p}
+    cfg = validate("qplate_conversion", {
+        "grid": {"n": n, "window": 8e-3, "wavelength": 632.8e-9},
+        "beam": beam,
+        "polarization": {"kind": pol if isinstance(pol, str) else "L"},
+        "element": {"q": two_q / 2.0, "alpha0": alpha0}}, QC_SCHEMAS)
+    state = jones_state(pol) if isinstance(pol, str) else JonesVector(
+        math.cos(pol[1]) * math.cos(pol[0])
+        - 1j * math.sin(pol[1]) * math.sin(pol[0]),
+        math.sin(pol[1]) * math.cos(pol[0])
+        + 1j * math.cos(pol[1]) * math.sin(pol[0]))
+
+    def field(cfg):
+        return vector_field(build_beam(cfg), state)
+
+    with ragged_blocks(n), tempfile.TemporaryDirectory() as outdir, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lightsim.scenarios, "build_vector_beam", field)
+        got = recorded_loops(
+            lambda: _scenario_qplate_conversion(cfg, Path(outdir), None))
+        ref = recorded_loops(
+            lambda: qplate_conversion_whole_grid(cfg, field(cfg)))
+        assert len(got[0]) == len(ref[0])
+        assert all(same_bits(a, b) for a, b in zip(got[0], ref[0]))
+        assert got[2] == ref[2]
+        if got[2] is not None:
+            return
+        values, images = ref[1]
+        assert {r.quantity: r.value for r in got[1]} == values
+        for name, header, payload in zip(
+                ("intensity_out.pgm", "phase_converted.pgm", "stokes_out.ppm"),
+                (f"P5\n{n} {n}\n65535\n", f"P5\n{n} {n}\n65535\n",
+                 f"P6\n{n} {n}\n255\n"), images):
+            assert pnm_payload(Path(outdir) / name,
+                               header.encode()) == payload, name
+
+
 @settings(max_examples=40, deadline=None)
-@given(n=ragged_n, seed=seeds)
-def test_blocked_stokes_maps_match_whole_grid_bits(n, seed):
+@given(n=ragged_n, seed=seeds, zeros=st.booleans())
+@example(n=32, seed=0, zeros=True)  # a zero map: its peak scales nothing
+def test_blocked_image_writers_match_whole_map_bytes(n, seed, zeros):
+    """The writers quantize by blocks of 7 rows: the bytes of the
+    whole-map formulas, for maps with signed zeros."""
     f = signed_zero_field(n, seed)
-    with ragged_blocks(n):
-        got = stokes_maps(f)
-    ref = stokes_of(f)
-    for name in ("s0", "s1", "s2", "s3"):
-        assert same_bits(getattr(got, name), getattr(ref, name)), name
+    intensity, phase, s = np.abs(f.ex) ** 2, np.angle(f.ey), stokes_of(f)
+    if zeros:
+        intensity[...] = 0.0
+    pgm, ppm = f"P5\n{n} {n}\n65535\n", f"P6\n{n} {n}\n255\n"
+    with ragged_blocks(n), tempfile.TemporaryDirectory() as outdir:
+        for write, arg, header, ref in (
+                (write_intensity_pgm, intensity, pgm,
+                 intensity_pgm_whole(intensity)),
+                (write_phase_pgm, phase, pgm, phase_pgm_whole(phase)),
+                (write_stokes_ppm, s, ppm, stokes_ppm_stacked(s))):
+            path = Path(outdir) / "image"
+            write(path, arg)
+            assert pnm_payload(path, header.encode()) == ref, write.__name__
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(21, 128).map(lambda k: 2 * k).filter(lambda n: n % 7),
+       l=st.integers(-3, 3))  # n >= 42: 4 samples per fringe
+def test_blocked_interferogram_pgm_matches_whole_map_bytes(n, l):
+    """`interference_fork` builds its image by blocks of rows, normalizes it
+    in place and quantizes it by blocks: the PGM bytes are the whole-map
+    formulas'."""
+    sections = {"grid": {"n": n, "window": 8e-3, "wavelength": 632.8e-9},
+                "beam": {"kind": "lg", "l": l, "w0": 1e-3},
+                "interference": {"tilt": math.asin(10.25 * 632.8e-9 / 8e-3)}}
+    cfg = validate("interference_fork", sections,
+                   SCENARIOS["interference_fork"][0])
+    with ragged_blocks(n), tempfile.TemporaryDirectory() as outdir:
+        SCENARIOS["interference_fork"][1](cfg, Path(outdir), None)
+        got = pnm_payload(Path(outdir) / "interferogram.pgm",
+                          f"P5\n{n} {n}\n65535\n".encode())
+    image = interference_image_whole(build_beam(cfg),
+                                     cfg["interference"]["tilt"])
+    assert got == intensity_pgm_whole(image)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -49,6 +50,20 @@ def test_propagations_equal_one_propagate_per_distance():
             for got, ref in zip(out.components,
                                 propagate(field, z).components):
                 np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_propagations_let_go_of_their_input(vector):
+    # once the caller drops the input, the generator holds none of its maps
+    # after their forward transforms: the first plane comes without them
+    field = laguerre_gaussian(make_grid(128), 1, 0, 1.0)
+    if vector:
+        field = vector_field(field, jones_state("D"))
+    maps = [weakref.ref(a) for a in field.components]
+    planes = propagations(field, [rayleigh(1.0), 2.0 * rayleigh(1.0)])
+    del field
+    next(planes)
+    assert all(m() is None for m in maps)
 
 
 def test_negative_distance_rejected_before_any_transform(monkeypatch):
