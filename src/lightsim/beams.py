@@ -68,13 +68,6 @@ def overlap_imag(a, b):
     return _dot(a.real, b.imag) - _dot(a.imag, b.real)
 
 
-def overlap(a, b):
-    """<a|b> = sum conj(a) b over the pixels of two complex maps, summed
-    like `sum_abs2`."""
-    return complex(_dot(a.real, b.real) + _dot(a.imag, b.imag),
-                   overlap_imag(a, b))
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Complex scalar amplitude sampled on a grid; `components` is (amp,)."""

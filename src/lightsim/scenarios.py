@@ -8,7 +8,7 @@ reduced grid.
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import groupby
 from pathlib import Path
 
@@ -127,15 +127,16 @@ def _rotation_times(omega, periods, samples):
     return np.arange(samples) * duration / samples
 
 
-def _frequency_shift_row(cfg, vals, times):
-    """Peak angular frequency [rad/s] of the complex series `vals` against
-    2 omega, to within one bin."""
+def _frequency_shift_row(cfg, vals, times, hand="L"):
+    """Peak angular frequency [rad/s] of the complex series `vals`, within
+    one bin of 2 omega for an L input (it leaves as R), -2 omega for R."""
     omega, periods = cfg["rotation"]["omega"], cfg["rotation"]["periods"]
     bin_width = 0.0 if omega == 0.0 else abs(omega) / periods
     freqs = 2.0 * math.pi * np.fft.fftfreq(len(vals), d=times[1] - times[0])
     peak = float(freqs[int(np.argmax(np.abs(np.fft.fft(vals))))])
-    return SummaryRow(cfg.name, "frequency_shift", peak, 2.0 * omega,
-                      bin_width)
+    # 0.0 - : an R row at omega = 0 expects 0.0, not -0.0
+    expected = 2.0 * omega if hand == "L" else 0.0 - 2.0 * omega
+    return SummaryRow(cfg.name, "frequency_shift", peak, expected, bin_width)
 
 
 def _hwp_pair_output(omega, times):
@@ -147,22 +148,16 @@ def _hwp_pair_output(omega, times):
 def rotating_qplate_overlap_series(spec, f, omega, times):
     """Amplitude <out(0)|out(t)> for a q-plate spinning at omega.
 
-    The plate is linear in e^{+-2i alpha}, so the amplitude is exactly
-    c0 + c+ e^{2i omega t} + c- e^{-2i omega t}; the plate turned by 0 (the
-    output's power), pi/3 and 2pi/3 gives them as a 3-point DFT.
+    Turning the plate by omega t adds the geometric phase +2 omega t to the
+    output's R part and -2 omega t to its L part; the winding has unit
+    modulus and <R|L> = 0, so the amplitude is exactly
+    P_R e^{2i omega t} + P_L e^{-2i omega t}, with the output's powers
+    P_R, P_L = power (1 -+ SAM) / 2.
     """
-    ref = elements.apply_qplate(spec, f)
-
-    def overlap(out):
-        return f.grid.pitch ** 2 * sum(
-            beams.overlap(u, v) for u, v in zip(ref.components, out.components))
-
-    # the turned plates are built one at a time, each dropped once read
-    turned = (elements.apply_qplate(replace(spec, alpha0=spec.alpha0 + a), f)
-              for a in (math.pi / 3.0, 2.0 * math.pi / 3.0))
-    c0, cp, cm = np.fft.fft([overlap(ref), *map(overlap, turned)]) / 3.0
-    return (c0 + cp * np.exp(2j * omega * times)
-            + cm * np.exp(-2j * omega * times))
+    ledger = analysis.am_ledger(elements.apply_qplate(spec, f))
+    p_r = ledger.power * (1.0 - ledger.sam) / 2.0
+    p_l = ledger.power * (1.0 + ledger.sam) / 2.0
+    return p_r * np.exp(2j * omega * times) + p_l * np.exp(-2j * omega * times)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +384,8 @@ def _scenario_rotating_qplate(cfg, outdir, rng):
     omega, times = cfg["rotation"]["omega"], _rotation_times(**cfg["rotation"])
     vals = rotating_qplate_overlap_series(build_qplate(cfg),
                                           build_vector_beam(cfg), omega, times)
-    return [_frequency_shift_row(cfg, vals, times)]
+    return [_frequency_shift_row(cfg, vals, times,
+                                 cfg["polarization"]["kind"])]
 
 
 def _scenario_propagation_stability(cfg, outdir, rng):

@@ -9,9 +9,10 @@ from lightsim import (JonesVector, QPlateSpec, am_ledger, apply_qplate,
 from lightsim.analysis import topological_charge
 from lightsim.beams import (Grid, circular_component, circular_components,
                             sum_abs2)
+from lightsim.config import ScenarioConfig
 from lightsim.errors import UndersampledRotation
 from lightsim.polarization import stokes_of
-from lightsim.scenarios import rotating_qplate_overlap_series
+from lightsim.scenarios import execute, rotating_qplate_overlap_series
 
 from helpers import polar
 from test_kernels import half_wave_closed_form
@@ -127,15 +128,15 @@ def test_rotating_waveplate_static_limit():
     assert float(np.max(np.abs(out.ey - out.ey[0]))) < 1e-15
 
 
-@pytest.mark.parametrize("two_q", range(-8, 9))
+@pytest.mark.parametrize("two_q", range(-10, 11))
 @pytest.mark.parametrize("alpha0", [0.0, 0.37])
 def test_rotating_qplate_series_matches_direct_overlaps(two_q, alpha0):
     # <out(0)|out(t)> against the plate applied afresh at alpha0 + omega t;
     # an L input has only the e^{2i omega t} term, R only e^{-2i omega t},
-    # H both
+    # H and D both
     omega, times = 1.3, np.array([0.0, 0.1, 0.37, 1.0, 2.5])
     spec = QPlateSpec(two_q / 2.0, alpha0)
-    for kind in "LRH":
+    for kind in "LRHD":
         f = make_field(n=64, kind=kind, w0=0.75)
         ref = apply_qplate(spec, f)
         direct = np.array([f.grid.pitch ** 2 * sum(
@@ -147,6 +148,23 @@ def test_rotating_qplate_series_matches_direct_overlaps(two_q, alpha0):
         got = rotating_qplate_overlap_series(spec, f, omega, times)
         assert np.max(np.abs(got - direct)) \
             <= 1e-12 * np.max(np.abs(direct)), kind
+
+
+@pytest.mark.parametrize("omega", [1.0, -3.7, 0.0])
+def test_rotating_qplate_r_input_shifts_by_minus_two_omega(omega):
+    # an R input leaves the plate as L, whose geometric phase -2 alpha
+    # turns the other way: the peak is at -2 omega
+    cfg = ScenarioConfig("rotating_qplate", {
+        "grid": {"n": 64, "window": 8e-3, "wavelength": 632.8e-9},
+        "beam": {"kind": "gaussian", "w0": 1e-3},
+        "polarization": {"kind": "R"}, "element": {"q": 1.0},
+        "rotation": {"omega": omega}})
+    row, = execute(cfg, None, np.random.default_rng(0))
+    assert row.quantity == "frequency_shift"
+    assert row.expected == -2.0 * omega
+    if omega == 0.0:
+        assert math.copysign(1.0, row.expected) == 1.0  # 0.0, not -0.0
+    assert row.ok, (row.value, row.expected, row.tolerance)
 
 
 def test_hwp_pair_restores_input_polarization():
