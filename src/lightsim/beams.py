@@ -185,11 +185,14 @@ def _mirrored(f, grid, m):
     return out
 
 
+def _envelope(w0):
+    return lambda x, y: np.exp(-(x ** 2 + y ** 2) / w0 ** 2)
+
+
 def gaussian(grid, w0):
     """Unit-peak TEM00 Gaussian, amp = exp(-(x^2+y^2)/w0^2)."""
     _check_waist(grid, w0)
-    return ScalarField(grid, _mirrored(
-        lambda x, y: np.exp(-(x ** 2 + y ** 2) / w0 ** 2), grid, 0))
+    return ScalarField(grid, _mirrored(_envelope(w0), grid, 0))
 
 
 def elliptical_gaussian(grid, wx, wy, tilt=0.0):
@@ -215,9 +218,11 @@ def _vortex(x, y, m, scale):
     return z ** abs(m)
 
 
-def azimuthal_phase(grid, m):
-    """exp(i m phi) as ((x + i sgn(m) y)/r)^|m|, with no arctan2."""
-    return _mirrored(lambda x, y: _vortex(x, y, m, None), grid, m)
+def vortex_beam(grid, l, w0):
+    """exp(i l phi) times the unit-peak Gaussian, in one evaluation."""
+    _check_waist(grid, w0)
+    return ScalarField(grid, _mirrored(
+        lambda x, y: _vortex(x, y, l, None) * _envelope(w0)(x, y), grid, l))
 
 
 def _genlaguerre(n, alpha, x):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import MAX_L, VectorField, _by_rows, azimuthal_phase
+from .beams import MAX_L, VectorField, _by_rows, _vortex
 from .errors import UndersampledRotation
 from .polarization import JonesVector, half_wave
 
@@ -40,21 +40,20 @@ class QPlateSpec:
 
 
 def qplate_formula(spec, grid):
-    """(winding, plate): the map (exp(i phi))^(2q) on `grid`, and the
-    q-plate plate(winding, ex, ey) on a block of rows of it and a field."""
-    e2_alpha0 = cmath.exp(2j * spec.alpha0)
-    # array first: numpy's complex product can differ in the last bit with
-    # the operand order, and it took the whole-map product in place
-    return (azimuthal_phase(grid, round(2.0 * spec.q)),
-            lambda winding, ex, ey: half_wave(winding * e2_alpha0, ex, ey))
+    """(ys, plate): the grid's y as a column, and the q-plate plate(ex, ey,
+    y) on a block of rows of a field and their y, winding (exp(i phi))^(2q)."""
+    x, e2_alpha0 = grid.axis(), cmath.exp(2j * spec.alpha0)
+    # array first: numpy's complex product's last bit depends on the order
+    return x[:, None], lambda ex, ey, y: half_wave(
+        _vortex(x, y, round(2.0 * spec.q), None) * e2_alpha0, ex, ey)
 
 
 def apply_qplate(spec, f):
     """Apply the q-plate to every pixel of a vector field (unitary), by
     blocks of rows: a half-wave plate with axis angle alpha set by the map
     exp(2i alpha) = exp(2i alpha0) (exp(i phi))^(2q); 2q is an integer."""
-    winding, plate = qplate_formula(spec, f.grid)
-    return VectorField(f.grid, *_by_rows(plate, winding, f.ex, f.ey))
+    ys, plate = qplate_formula(spec, f.grid)
+    return VectorField(f.grid, *_by_rows(plate, f.ex, f.ey, ys))
 
 
 def _check_sampling(omega, times):

@@ -33,12 +33,17 @@ def write_intensity_pgm(path, intensity):
         rows / peak * 65535.0).astype(">u2"), arr)
 
 
+def phase_levels(phase):
+    """16-bit levels of a phase map, (-pi, pi] mapped linearly onto (0, 1]."""
+    return np.round(np.clip((phase + math.pi) / (2.0 * math.pi), 0.0, 1.0)
+                    * 65535.0).astype(">u2")
+
+
 def write_phase_pgm(path, phase):
-    """16-bit P5 graymap of a phase map, (-pi, pi] mapped linearly onto
-    (0, 1]."""
-    _write_pnm(path, "P5", 65535, lambda rows: np.round(np.clip(
-        (rows + math.pi) / (2.0 * math.pi), 0.0, 1.0) * 65535.0).astype(">u2"),
-        np.asarray(phase, dtype=float))
+    """16-bit P5 graymap of a phase map, or of its `phase_levels`."""
+    if np.asarray(phase).dtype == ">u2":  # levels: copied as they are
+        return _write_pnm(path, "P5", 65535, np.asarray, phase)
+    _write_pnm(path, "P5", 65535, phase_levels, np.asarray(phase, float))
 
 
 def write_stokes_ppm(path, s):

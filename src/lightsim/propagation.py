@@ -8,11 +8,11 @@ physical choice for forward propagation.  The transfer phase depends on
 kx^2 and ky^2 alone, so it is computed on one quadrant of the FFT grid
 (frequency indices 0...n/2) and applied to the four quarters of the
 spectrum through mirrored views.  Each component is transformed forward
-once per beam, whatever the number of distances, and both transforms run
-in place as the two 1-D passes of `fft2`/`ifft2`.  Treating ex and ey alike
-neglects the longitudinal field, a paraxial approximation.  The far-field
-transform is a single centered FFT, in place, whose output grid carries
-angular coordinates with pitch lambda / (n * pitch).
+once per beam, whatever the number of distances, as the two 1-D passes of
+`fft2`/`ifft2`, in place but for the first, which keeps a caller's maps.
+Treating ex and ey alike neglects the longitudinal field, a paraxial
+approximation.  The far-field transform is a single centered FFT, in place,
+whose output grid carries angular coordinates with pitch lambda / (n * pitch).
 """
 
 import math
@@ -60,6 +60,11 @@ def propagations(field, zs):
     maps are let go once transformed and the last z advances in place: with
     the input and each output dropped before the next, one plane is alive.
     """
+    return _propagations(field, zs, False)
+
+
+def _propagations(field, zs, own):
+    """`propagations`, overwriting the field's maps if the caller `own`s."""
     zs = list(zs)
     if any(z < 0.0 for z in zs):
         raise ValueError("propagation distance must be nonnegative")
@@ -67,13 +72,13 @@ def propagations(field, zs):
     for amp in amps:
         _check_edges(amp, "input")
     del field, amp
-    specs = [np.fft.fft(amps.pop(0), axis=1) for _ in range(len(amps))]
-    for spec in specs:
-        np.fft.fft(spec, axis=0, out=spec)
+    for i in range(len(amps)):  # each map's spectrum takes its place
+        amps[i] = np.fft.fft(amps[i], axis=1, out=amps[i] if own else None)
+        np.fft.fft(amps[i], axis=0, out=amps[i])
     kz, evanescent = _kz(grid)
     for i, z in enumerate(zs):
         yield make(grid, *(_advance(spec, kz, evanescent, z, i == len(zs) - 1)
-                           for spec in specs))
+                           for spec in amps))
 
 
 def _advance(spec, kz, evanescent, z, in_place):

@@ -22,8 +22,8 @@ from .config import (BEAM_SECTION, BEAM_WAIST_KEYS, ELEMENT_SECTION,
                      ROTATION_SECTION, ScenarioConfig, validate)
 from .constants import C_LIGHT, H_PLANCK, HBAR
 from .errors import ConfigError, LightsimError
-from .imageio import (write_csv, write_intensity_pgm, write_phase_pgm,
-                      write_stokes_ppm)
+from .imageio import (phase_levels, write_csv, write_intensity_pgm,
+                      write_phase_pgm, write_stokes_ppm)
 from .polarization import (JonesVector, StokesVector, half_wave,
                            jones_state, stokes_of, wrap_angle)
 
@@ -81,10 +81,7 @@ def build_scalar_beam(grid, beam_cfg):
     if kind == "lg":
         return beams.laguerre_gaussian(grid, beam_cfg["l"], beam_cfg["p"],
                                        beam_cfg["w0"])
-    # vortex: Gaussian envelope with a pure azimuthal phase winding.
-    base = beams.gaussian(grid, beam_cfg["w0"])
-    return beams.ScalarField(
-        grid, base.amp * beams.azimuthal_phase(grid, beam_cfg["l"]))
+    return beams.vortex_beam(grid, beam_cfg["l"], beam_cfg["w0"])
 
 
 def beam_waist(beam_cfg):
@@ -165,10 +162,9 @@ def rotating_qplate_overlap_series(spec, f, omega, times):
 
 def _scenario_qplate_conversion(cfg, outdir, rng):
     # The q-plate output overwrites the input field by blocks of rows, each
-    # read before and after; for the images, the output's four Stokes maps
-    # overwrite it in turn, in the real and imaginary parts of ex and ey.
-    # Beside the field, only the plate's winding and the phase image are
-    # whole maps.
+    # read before and after and given its winding from its own rows; for the
+    # images, each block's phase levels are taken, then its Stokes maps
+    # overwrite it.  Beside the field, only the images' levels are whole.
     field = build_vector_beam(cfg)
     grid, spec = field.grid, build_qplate(cfg)
     ledger_in = analysis.am_ledger(field)
@@ -178,21 +174,20 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
         stokes_of(JonesVector(ex, ey)).s0.max(axis=1),), field.ex, field.ey)))
     hand = "R" if s3_sign > 0 else "L"
     project = beams.circular_projection(hand)
-    winding, plate = elements.qplate_formula(spec, grid)
+    ys, plate = elements.qplate_formula(spec, grid)
 
-    def convert(winding, ex, ey):
+    def convert(ex, ey, y):
         s = stokes_of(JonesVector(ex, ey))
         mask = s.s0 > threshold
         ratio_in = s.s3[mask] / s.s0[mask]
-        ex[...], ey[...] = plate(winding, ex, ey)
+        ex[...], ey[...] = plate(ex, ey, y)
         s = stokes_of(JonesVector(ex, ey))
         dev = np.zeros(mask.shape)
         dev[mask] = np.abs(s.s3[mask] / s.s0[mask] + ratio_in)
         return dev.max(axis=1), np.abs(project(ex, ey)).max(axis=1)
 
     flip_dev, psi_peak = (float(np.max(a)) for a in beams._by_rows(
-        convert, winding, field.ex, field.ey))
-    del winding
+        convert, field.ex, field.ey, ys))
     ledger_out = analysis.am_ledger(field)
     loop_radius = beam_waist(cfg["beam"])
     charge = analysis.topological_charge(beams.circular_component(
@@ -214,10 +209,10 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
     ]
     if outdir is not None:
         def stokes_in_place(ex, ey):
-            phase = np.angle(project(ex, ey))
+            levels = phase_levels(np.angle(project(ex, ey)))
             s = stokes_of(JonesVector(ex, ey))
             ex.real, ex.imag, ey.real, ey.imag = s.s0, s.s1, s.s2, s.s3
-            return (phase,)
+            return (levels,)
 
         phase, = beams._by_rows(stokes_in_place, field.ex, field.ey)
         s = StokesVector(field.ex.real, field.ex.imag, field.ey.real,
@@ -260,8 +255,8 @@ def _scenario_lg_oam(cfg, outdir, rng):
         for p in (0, 1):
             mode = beams.laguerre_gaussian(grid, l, p, w0)
             oam = analysis.am_ledger(mode).oam
-            spectrum = analysis.azimuthal_spectrum(mode, 0.6 * w0)
-            purity = spectrum.get(l, 0.0)
+            purity = analysis.azimuthal_spectrum(mode, 0.6 * w0).get(l, 0.0)
+            del mode  # let go of each mode before building the next
             rows.append(SummaryRow(cfg.name, f"oam_l={l}_p={p}",
                                    oam, float(l), 1e-3))
             rows.append(SummaryRow(cfg.name, f"purity_l={l}_p={p}",
@@ -419,9 +414,10 @@ def _scenario_propagation_stability(cfg, outdir, rng):
                                    0.5 * (rec["width_x"] + rec["width_y"]),
                                    w_expect, 0.005 * w_expect))
             rows.append(SummaryRow(name, f"oam_{tag}", rec["oam"], 0.0, 1e-9))
-    # semigroup property: two half steps equal one full step
+    # semigroup: two half steps (the second in place) equal one full step
     one = planes[z].amp
-    diff = propagation.propagate(planes.pop(z / 2), z / 2).amp
+    diff = next(propagation._propagations(planes.pop(z / 2), [z / 2],
+                                          True)).amp
     diff -= one
     err = math.sqrt(beams.sum_abs2(diff) / beams.sum_abs2(one))
     rows.append(SummaryRow(name, "semigroup_rel_err", err, 0.0, 1e-9))

@@ -5,8 +5,8 @@ Each reference below is the straightforward full-grid or per-element form
 a per-triangle loop, the Stokes map, the half-wave plate's closed form
 applied per pixel and per sample, the sum of squared magnitudes); the library's
 kernels must agree with it to roundoff.  The kernels built on one
-quadrant of the grid and mirrored (vortex phases, Gaussian and LG modes,
-the angular-spectrum transfer phase) must agree with their full-grid
+quadrant of the grid and mirrored (vortex phases and beams, Gaussian and LG
+modes, the angular-spectrum transfer phase) must agree with their full-grid
 formulas bit for bit, signed zeros included, and so must the elliptical
 Gaussian, evaluated against broadcast axes, with the full meshgrid.  The
 pixel kernels evaluated by blocks of rows (the q-plate output, circular
@@ -51,7 +51,7 @@ from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       vector_field)
 from lightsim.analysis import (CROP_MARGIN, _pixel_sums, _sample_circle,
                                topological_charge)
-from lightsim.beams import (_genlaguerre, _unfold, azimuthal_phase,
+from lightsim.beams import (_genlaguerre, _mirrored, _unfold, _vortex,
                             circular_component, max_abs, overlap_imag,
                             sum_abs2)
 from lightsim.config import validate
@@ -190,6 +190,11 @@ def azimuthal_phase_full(grid, m, scale=None):
     else:
         z *= scale
     return z ** abs(m)
+
+
+def mirrored_phase(grid, m):
+    """exp(i m phi) evaluated on one quadrant and unfolded."""
+    return _mirrored(lambda x, y: _vortex(x, y, m, None), grid, m)
 
 
 def gaussian_full(grid, w0):
@@ -657,7 +662,27 @@ def waist(grid, frac):
 @example(n=2048, m=-3)
 def test_azimuthal_phase_matches_full_grid_bits(n, m):
     g = make_grid(n)
-    assert same_bits(azimuthal_phase(g, m), azimuthal_phase_full(g, m))
+    assert same_bits(mirrored_phase(g, m), azimuthal_phase_full(g, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=waisted_n, l=st.integers(-10, 10), frac=st.floats(0.0, 1.0))
+@example(n=64, l=8, frac=0.5)
+@example(n=256, l=-3, frac=0.085)  # exp(-r^2) underflows in the corners
+@example(n=512, l=4, frac=0.0)     # and on most of the grid
+@example(n=512, l=0, frac=1.0)
+@example(n=2048, l=-7, frac=0.3)
+@example(n=512, l=9, frac=0.14467293439451548)  # subnormal envelope
+def test_vortex_beam_matches_gaussian_times_phase_bits(n, l, frac):
+    g = make_grid(n)
+    w0 = waist(g, frac)
+    got = build_scalar_beam(g, {"kind": "vortex", "l": l, "w0": w0}).amp
+    env, phase = gaussian(g, w0).amp, azimuthal_phase_full(g, l)
+    # phase first: with the real map first, numpy's complex product may
+    # fuse its multiply, so the sign of a part that underflows to zero
+    # depends on where the pixel falls in the loop
+    assert same_bits(got, phase * env)
+    assert np.array_equal(got, env * phase)
 
 
 @settings(max_examples=60, deadline=None)
@@ -698,7 +723,7 @@ def test_a_flipped_mirror_sign_is_caught():
     ref = azimuthal_phase_full(g, 8)
     assert np.array_equal(unfolded(ref, 8), ref)
     assert not same_bits(unfolded(ref, 8), ref)
-    assert same_bits(azimuthal_phase(g, 8), ref)
+    assert same_bits(mirrored_phase(g, 8), ref)
 
 
 # --- pixel kernels by blocks of rows ---
@@ -747,7 +772,7 @@ def test_blocked_qplate_matches_whole_grid_bits(n, seed, two_q, alpha0):
         out = apply_qplate(QPlateSpec(two_q / 2.0, alpha0), f)
     # array by scalar: numpy's complex product can differ in the last bit
     # with the operand order, and takes a temporary map's product in place
-    e2 = azimuthal_phase(f.grid, two_q) * cmath.exp(2j * alpha0)
+    e2 = azimuthal_phase_full(f.grid, two_q) * cmath.exp(2j * alpha0)
     ref_ex, ref_ey = half_wave(e2, f.ex, f.ey)
     assert same_bits(out.ex, ref_ex)
     assert same_bits(out.ey, ref_ey)
@@ -779,7 +804,7 @@ def qplate_conversion_whole_grid(cfg, f):
     Stokes sets, the converted component and the image formulas each on the
     whole grid."""
     el = cfg["element"]
-    e2 = (azimuthal_phase(f.grid, round(2.0 * el["q"]))
+    e2 = (azimuthal_phase_full(f.grid, round(2.0 * el["q"]))
           * cmath.exp(2j * el["alpha0"]))
     out = VectorField(f.grid, *half_wave(e2, f.ex, f.ey))
     s_in, s_out = stokes_of(f), stokes_of(out)

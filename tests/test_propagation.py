@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightsim import (Grid, ScalarField, am_ledger, elliptical_gaussian,
-                      far_field, gaussian, jones_state, laguerre_gaussian,
-                      propagate, propagations, stability_record,
-                      topological_charge, vector_field)
+from lightsim import (Grid, QPlateSpec, ScalarField, am_ledger,
+                      apply_qplate, elliptical_gaussian, far_field, gaussian,
+                      jones_state, laguerre_gaussian, propagate, propagations,
+                      stability_record, topological_charge, vector_field)
 from lightsim.beams import MAX_L, MAX_P, sum_abs2
 from lightsim.config import ScenarioConfig, validate
 from lightsim.errors import WindowTooSmall, ZeroField
+from lightsim.propagation import _propagations
 from lightsim.scenarios import (SCENARIOS, SummaryRow, build_beam,
                                 build_scalar_beam, run_scenario)
 
@@ -64,6 +65,39 @@ def test_propagations_let_go_of_their_input(vector):
     del field
     next(planes)
     assert all(m() is None for m in maps)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_public_kernels_leave_the_callers_maps_unchanged(vector):
+    # the library transforms planes it owns in place; a caller's are read
+    field = laguerre_gaussian(make_grid(128), 2, 1, 1.0)
+    if vector:
+        field = vector_field(field, jones_state("L"))
+    before = [a.copy() for a in field.components]
+    propagate(field, rayleigh(1.0))
+    for _ in propagations(field, [0.0, rayleigh(1.0)]):
+        pass
+    if vector:
+        apply_qplate(QPlateSpec(1.0), field)
+        apply_qplate(QPlateSpec(-0.5, 0.37), field)
+    for got, ref in zip(field.components, before):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_given_up_plane_propagates_in_place_to_the_same_bits(vector):
+    field = laguerre_gaussian(make_grid(128), 1, 0, 1.0)
+    if vector:
+        field = vector_field(field, jones_state("D"))
+    z = rayleigh(1.0)
+    ref = propagate(field, z)
+    plane = type(field)(field.grid, *(a.copy() for a in field.components))
+    maps = plane.components
+    out = next(_propagations(plane, [z], True))
+    for got, want, m in zip(out.components, ref.components, maps):
+        assert got is m  # the plane given up holds its propagated self
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_negative_distance_rejected_before_any_transform(monkeypatch):
