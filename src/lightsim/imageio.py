@@ -39,11 +39,9 @@ def phase_levels(phase):
                     * 65535.0).astype(">u2")
 
 
-def write_phase_pgm(path, phase):
-    """16-bit P5 graymap of a phase map, or of its `phase_levels`."""
-    if np.asarray(phase).dtype == ">u2":  # levels: copied as they are
-        return _write_pnm(path, "P5", 65535, np.asarray, phase)
-    _write_pnm(path, "P5", 65535, phase_levels, np.asarray(phase, float))
+def write_phase_pgm(path, levels):
+    """16-bit P5 graymap of a phase map's `phase_levels`."""
+    _write_pnm(path, "P5", 65535, lambda rows: rows.astype(">u2"), levels)
 
 
 def write_stokes_ppm(path, s):

@@ -51,15 +51,15 @@ from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       vector_field)
 from lightsim.analysis import (CROP_MARGIN, _pixel_sums, _sample_circle,
                                topological_charge)
-from lightsim.beams import (_genlaguerre, _mirrored, _unfold, _vortex,
-                            circular_component, max_abs, overlap_imag,
-                            sum_abs2)
+from lightsim.beams import (_by_rows, _genlaguerre, _mirrored, _unfold,
+                            _vortex, circular_component, max_abs,
+                            overlap_imag, sum_abs2)
 from lightsim.config import validate
 from lightsim.elements import apply_qplate
 from lightsim.errors import LightsimError
 from lightsim.geomphase import _fan_apex
-from lightsim.imageio import (write_intensity_pgm, write_phase_pgm,
-                              write_stokes_ppm)
+from lightsim.imageio import (phase_levels, write_intensity_pgm,
+                              write_phase_pgm, write_stokes_ppm)
 from lightsim.polarization import half_wave
 from lightsim.scenarios import (SCENARIOS, SummaryRow,
                                 _scenario_generalized_charge,
@@ -887,18 +887,19 @@ def test_blocked_stokes_maps_match_whole_grid_bits(n, frac, kind, l, p, pol,
 @given(n=ragged_n, seed=seeds, zeros=st.booleans())
 @example(n=32, seed=0, zeros=True)  # a zero map: its peak scales nothing
 def test_blocked_image_writers_match_whole_map_bytes(n, seed, zeros):
-    """The writers quantize by blocks of 7 rows: the bytes of the
-    whole-map formulas, for maps with signed zeros."""
+    """The writers and `phase_levels` quantize by blocks of 7 rows: the
+    bytes of the whole-map formulas, for maps with signed zeros."""
     f = signed_zero_field(n, seed)
     intensity, phase, s = np.abs(f.ex) ** 2, np.angle(f.ey), stokes_of(f)
     if zeros:
         intensity[...] = 0.0
     pgm, ppm = f"P5\n{n} {n}\n65535\n", f"P6\n{n} {n}\n255\n"
     with ragged_blocks(n), tempfile.TemporaryDirectory() as outdir:
+        levels, = _by_rows(lambda rows: (phase_levels(rows),), phase)
         for write, arg, header, ref in (
                 (write_intensity_pgm, intensity, pgm,
                  intensity_pgm_whole(intensity)),
-                (write_phase_pgm, phase, pgm, phase_pgm_whole(phase)),
+                (write_phase_pgm, levels, pgm, phase_pgm_whole(phase)),
                 (write_stokes_ppm, s, ppm, stokes_ppm_stacked(s))):
             path = Path(outdir) / "image"
             write(path, arg)

@@ -2,10 +2,10 @@
 
 The traced peak (tracemalloc, which sees numpy's array allocations) of one
 `run_scenario` with image output, in units of one complex n x n map; each
-budget is the n = 512 measurement plus at most 0.3 map, but for
-`qplate_conversion` and `propagation_stability`, whose budgets stand from
-before they fell by a map or half a map.  The kernel tests at the end hold
-the q-plate and the semigroup row's half step to their new size.
+budget is the n = 512 measurement plus at most 0.3 map.  In the first
+table, `qplate_conversion` (3.9) and `propagation_stability` (3.3) keep
+budgets from before they fell by a map or half a map; a second table holds
+both to 3.0 and 2.8.
 
 - `qplate_conversion` measures 2.70 (2.50 at n = 2048, where blocks of rows
   are a smaller share of the grid): the q-plate output overwrites the
@@ -59,8 +59,8 @@ ramps, the 2-D FFT and the scale each made a new map.
 vector field at n = 512 it traces 2.41 maps, its output and one block's
 temporaries, against 3.41 with the whole winding map.  The semigroup row's
 half step transforms the plane it gives up in place: 0.51 maps (the
-transfer function on one quadrant, k_z and one block), against 1.54 for
-`propagate`, which leaves the caller's map as it is.
+transfer function on one quadrant, k_z and one block), where `propagate`,
+which leaves the caller's map as it is, traces 1.54.
 """
 
 import math
@@ -69,8 +69,7 @@ import tracemalloc
 import pytest
 
 from lightsim import (Grid, QPlateSpec, ScalarField, am_ledger, apply_qplate,
-                      far_field, jones_state, laguerre_gaussian, propagate,
-                      vector_field)
+                      far_field, jones_state, laguerre_gaussian, vector_field)
 from lightsim.propagation import _propagations
 from lightsim.config import ScenarioConfig
 from lightsim.scenarios import run_scenario
@@ -94,15 +93,17 @@ def peak_in_maps(name, sections, outdir):
     return peak / (16 * N * N)
 
 
+QPLATE_CONVERSION = {"grid": GRID,
+                     "beam": {"kind": "gaussian", "w0": WINDOW / 8.0},
+                     "polarization": {"kind": "L"}, "element": {"q": 1.0}}
+PROPAGATION_STABILITY = {"grid": GRID,
+                         "beam": {"kind": "lg", "l": 1, "w0": PW0},
+                         "propagation": {"z_list": [ZR, 2.0 * ZR]}}
+
+
 @pytest.mark.parametrize("name, sections, budget", [
-    ("qplate_conversion",
-     {"grid": GRID, "beam": {"kind": "gaussian", "w0": WINDOW / 8.0},
-      "polarization": {"kind": "L"}, "element": {"q": 1.0}},
-     3.9),
-    ("propagation_stability",
-     {"grid": GRID, "beam": {"kind": "lg", "l": 1, "w0": PW0},
-      "propagation": {"z_list": [ZR, 2.0 * ZR]}},
-     3.3),
+    ("qplate_conversion", QPLATE_CONVERSION, 3.9),
+    ("propagation_stability", PROPAGATION_STABILITY, 3.3),
     ("generalized_charge",
      {"grid": GRID, "beam": {"kind": "gaussian", "w0": WINDOW / 8.0}},
      1.8),
@@ -120,6 +121,15 @@ def peak_in_maps(name, sections, outdir):
      4.7),
 ])
 def test_peak_memory_within_budget(tmp_path, name, sections, budget):
+    assert peak_in_maps(name, sections, tmp_path) <= budget
+
+
+@pytest.mark.parametrize("name, sections, budget", [
+    ("qplate_conversion", QPLATE_CONVERSION, 3.0),
+    ("propagation_stability", PROPAGATION_STABILITY, 2.8),
+])
+def test_peak_memory_of_the_in_place_passes(tmp_path, name, sections,
+                                            budget):
     assert peak_in_maps(name, sections, tmp_path) <= budget
 
 
@@ -160,4 +170,3 @@ def test_given_up_plane_is_transformed_in_place():
     plane = ScalarField(lg.grid, lg.amp.copy())
     assert kernel_peak_in_maps(
         lambda s: next(_propagations(s, [ZR], True)), plane) <= 0.7
-    assert kernel_peak_in_maps(lambda s: propagate(s, ZR), lg) >= 1.0

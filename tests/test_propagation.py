@@ -288,6 +288,7 @@ def two_pass_rows(sections):
     [0.5, 1.5],        # z/2 not in it
     [2.0],             # a single z
     [2.0, 1.0, 2.0],   # a duplicated z
+    [0.0],             # z/2 = z: the z plane is not given up
 ])
 def test_stability_rows_equal_the_two_pass_form(tmp_path, beam, zs):
     sections = stability_sections(beam, zs)
