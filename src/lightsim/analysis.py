@@ -41,6 +41,12 @@ class AmLedger:
 _D1 = np.array([45.0, -9.0, 1.0]) / 60.0
 
 
+def _power_spin(blocks):
+    """sum |a|^2 and Im<ex|ey> (0 if scalar) of one block per component."""
+    return (sum(beams.sum_abs2(b) for b in blocks),
+            sum(beams.overlap_imag(a, b) for a, b in zip(blocks, blocks[1:])))
+
+
 def _pixel_sums(field):
     """Per row sum_j |a|^2 and sum_j |a|^2 x_j, per column sum_i |a|^2, and
     sum |a|^2, sum Im(a* (x d_y - y d_x) a) and Im<ex|ey> (0 for a scalar
@@ -49,7 +55,7 @@ def _pixel_sums(field):
     antisymmetric, sum Im(a* D a) = 2 sum_k c_k sum_i (u_i v_{i+k} -
     u_{i+k} v_i) on a grid line; a block takes the pairs whose row i + k
     it holds.  Power and Im<ex|ey> are summed alike, per block by
-    `beams.sum_abs2` and `beams.overlap_imag`: SAM(L) = 1 exactly."""
+    `_power_spin`: SAM(L) = 1 exactly."""
     g, comps, x = field.grid, field.components, field.grid.axis()
     n, step = g.n, max(1, beams._BLOCK // g.n)
     rows, cols, row_x, *lags = np.zeros((9, n))  # 3 lags along y, 3 along x
@@ -58,10 +64,8 @@ def _pixel_sums(field):
         e, lo = min(r + step, n), max(r - 3, 0)
         m, o = e - lo, r - lo
         (u, v), (ub, vb) = buf[:, :m], buf[:, o:m]
-        blocks = [a[r:e] for a in comps]
-        total += sum(beams.sum_abs2(b) for b in blocks)
-        spin += sum(beams.overlap_imag(a, b)
-                    for a, b in zip(blocks, blocks[1:]))
+        power, overlap = _power_spin([a[r:e] for a in comps])
+        total, spin = total + power, spin + overlap
         for a in comps:
             np.copyto(u, a[lo:e].real)
             np.copyto(v, a[lo:e].imag)
@@ -161,11 +165,14 @@ def _sample_circle(s, radius, samples):
     crop = loop_crop(s, radius)
     a, g = crop.amp, crop.grid
     theta = 2.0 * math.pi * np.arange(samples) / samples
-    # prefilter axis 0 of a C-contiguous real view, then of the transposed
-    # copy, so the coefficients are indexed [column, row]
+    # prefilter axis 0 of a C-contiguous real view, then of the array
+    # transposed in place by pairs of tiles, so it is indexed [column, row]
     coef = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
     _spline_prefilter(coef.view(float))
-    coef = np.ascontiguousarray(coef.T)
+    for i in range(0, len(coef), 64):
+        for j in range(i, len(coef), 64):
+            t, u = coef[i:i + 64, j:j + 64], coef[j:j + 64, i:i + 64]
+            t[...], u[...] = u.T.copy(), t.T.copy()
     _spline_prefilter(coef.view(float))
     coords = radius / g.pitch * np.vstack([np.sin(theta), np.cos(theta)])
     (rows, cols), (wr, wc) = _spline_taps(coords + (g.n / 2 - 0.5), len(coef))
@@ -253,6 +260,16 @@ def photon_partition(nu):
 def classical_ke(l_am, omega, p, v):
     """Kinetic energy split of a classical particle: (L w / 2, p v / 2)."""
     return l_am * omega / 2.0, p * v / 2.0
+
+
+def power_sam(blocks, pitch):
+    """`am_ledger`'s power and SAM, bit for bit, from `_pixel_sums` blocks."""
+    total = spin = 0.0
+    for power, overlap in map(_power_spin, blocks):
+        total, spin = total + power, spin + overlap
+    if total <= 0.0:
+        raise ZeroField("angular momentum undefined for a zero-power field")
+    return total * pitch ** 2, 2.0 * spin / total
 
 
 def am_ledger(f):

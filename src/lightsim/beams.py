@@ -126,19 +126,24 @@ def _unfold(out, m):
 _BLOCK = 1 << 14
 
 
+def _blocks(fn, *maps):
+    """fn on each block of rows of the 2-D maps in turn, made when asked."""
+    step = max(1, _BLOCK // maps[0].shape[1])
+    for r in range(0, len(maps[0]), step):
+        yield fn(*(m[r:r + step] for m in maps))
+
+
 def _by_rows(fn, *maps):
     """fn(*maps) for an `fn` that treats each row of 2-D maps alone and
-    returns arrays indexed by row first, run on blocks of rows into full
+    returns arrays indexed by row first, run on `_blocks` into full
     results: fn(*maps) bit for bit when `fn` is a pixelwise formula."""
-    n = len(maps[0])
-    step = max(1, _BLOCK // maps[0].shape[1])
-    outs = None
-    for r in range(0, n, step):
-        got = fn(*(m[r:r + step] for m in maps))
+    n, r, outs = len(maps[0]), 0, None
+    for got in _blocks(fn, *maps):
         if outs is None:
             outs = [np.empty((n,) + g.shape[1:], g.dtype) for g in got]
         for out, g in zip(outs, got):
-            out[r:r + step] = g
+            out[r:r + len(g)] = g
+        r += len(got[0])
     return outs
 
 
@@ -266,8 +271,14 @@ def laguerre_gaussian(grid, l, p, w0):
 
 def vector_field(s, pol):
     """Uniformly polarized vector field: components pol * amp."""
+    return _polarized(s.grid, s.amp.astype(complex), pol)
+
+
+def _polarized(grid, ex, pol):
+    """`vector_field` of the complex map ex, overwritten by its x part."""
     pol = pol.normalized()
-    return VectorField(s.grid, pol.ex * s.amp, pol.ey * s.amp)
+    ey = pol.ey * ex
+    return VectorField(grid, np.multiply(pol.ex, ex, out=ex), ey)
 
 
 def circular_component(f, hand):

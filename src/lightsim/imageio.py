@@ -2,26 +2,26 @@
 
 Intensity and phase maps go to 16-bit big-endian portable graymaps (P5);
 Stokes composites to 8-bit portable pixmaps (P6) with (s1, s2, s3) mapped
-affinely from [-1, 1] onto the RGB channels; maps are quantized by blocks
-of rows.  CSV files use a header row, '.' decimal separator,
-17-significant-digit scientific notation and LF line endings.
+affinely from [-1, 1] onto the RGB channels; maps are quantized and
+written by blocks of rows.  CSV files use a header row, '.' decimal
+separator, 17-significant-digit scientific notation and LF line endings.
 """
 
 import math
 
 import numpy as np
 
-from .beams import _by_rows
+from .beams import _blocks
 
 
 def _write_pnm(path, magic, maxval, levels, *maps):
-    """Binary PNM of the quantized levels(*maps), evaluated on blocks of
-    rows into one array whose buffer is written as the payload."""
-    data, = _by_rows(lambda *rows: (levels(*rows),), *maps)
-    h, w = data.shape[:2]
+    """Binary PNM of the quantized levels(*maps), each block of rows'
+    levels written to the file as it is made: no whole level array."""
+    h, w = maps[0].shape
     with open(path, "wb") as fh:
         fh.write(f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii"))
-        fh.write(data)
+        for data in _blocks(levels, *maps):
+            fh.write(data)
 
 
 def write_intensity_pgm(path, intensity):
@@ -39,9 +39,11 @@ def phase_levels(phase):
                     * 65535.0).astype(">u2")
 
 
-def write_phase_pgm(path, levels):
-    """16-bit P5 graymap of a phase map's `phase_levels`."""
-    _write_pnm(path, "P5", 65535, lambda rows: rows.astype(">u2"), levels)
+def write_phase_pgm(path, *maps, levels):
+    """16-bit P5 graymap of levels(*maps) (`phase_levels` of a phase map,
+    say), made block by block of rows; `levels` may overwrite each block
+    of the maps once it has read it."""
+    _write_pnm(path, "P5", 65535, levels, *maps)
 
 
 def write_stokes_ppm(path, s):

@@ -5,29 +5,30 @@ vector field) is decomposed into plane waves with the FFT, advanced with
 the exact transfer phase exp(i z sqrt(k^2 - kx^2 - ky^2)) and transformed
 back; evanescent components (kx^2 + ky^2 > k^2) are zeroed, which is the
 physical choice for forward propagation.  The transfer phase depends on
-kx^2 and ky^2 alone, so it is computed on one quadrant of the FFT grid
-(frequency indices 0...n/2) and applied to the four quarters of the
-spectrum through mirrored views.  Each component is transformed forward
-once per beam, whatever the number of distances, as the two 1-D passes of
-`fft2`/`ifft2`, in place but for the first, which keeps a caller's maps.
-Treating ex and ey alike neglects the longitudinal field, a paraxial
-approximation.  The far-field transform is a single centered FFT, in place,
-whose output grid carries angular coordinates with pitch lambda / (n * pitch).
+kx^2 and ky^2 alone, so it is computed on blocks of the rows of one
+quadrant of the FFT grid (frequency indices 0...n/2), each row mirrored to
+full width and applied to spectrum rows a and n - a.  Each component is
+transformed forward once per beam, whatever the number of distances, as
+the two 1-D passes of `fft2`/`ifft2`, in place but for the first, which
+keeps a caller's maps.  Treating ex and ey alike neglects the longitudinal
+field, a paraxial approximation.  The far-field transform is a single
+centered FFT, in place, whose output grid carries angular coordinates with
+pitch lambda / (n * pitch).
 """
 
 import math
 
 import numpy as np
 
+from . import beams
 from .analysis import am_ledger, topological_charge
-from .beams import Grid, max_abs
 from .errors import WindowTooSmall
 
 EDGE_INTENSITY_LIMIT = 1e-6
 
 
 def _check_edges(amp, where):
-    peak = max_abs(amp) ** 2
+    peak = beams.max_abs(amp) ** 2
     if peak == 0.0:
         return
     edge = max(float(np.max(np.abs(line) ** 2))
@@ -38,25 +39,13 @@ def _check_edges(amp, where):
             f"exceeds {EDGE_INTENSITY_LIMIT:g}; enlarge the window")
 
 
-def _kz(grid):
-    """k_z = sqrt(k^2 - kx^2 - ky^2) on the FFT frequency indices 0...n/2
-    of both axes, 0 where it is not real, and the mask of those evanescent
-    frequencies.  Index k and index n - k square to the same kx^2, so this
-    (n/2 + 1)^2 block holds k_z of the whole FFT grid."""
-    fx = np.fft.fftfreq(grid.n, d=grid.pitch)[:grid.n // 2 + 1]
-    kx = 2.0 * math.pi * fx
-    kx2 = kx[None, :] ** 2 + kx[:, None] ** 2
-    kz2 = grid.k ** 2 - kx2
-    return np.sqrt(np.maximum(kz2, 0.0)), kz2 <= 0.0
-
-
 def propagations(field, zs):
     """Yield a scalar or vector field propagated by each distance z >= 0 in
     `zs`, in order.
 
     Every z is checked, then the input edges, before any transform; each
-    component is transformed forward once and k_z is built once, so each
-    output costs a transfer phase and an inverse FFT per component.  Input
+    component is transformed forward once, so each output costs a transfer
+    function, made by blocks, and an inverse FFT per component.  Input
     maps are let go once transformed and the last z advances in place: with
     the input and each output dropped before the next, one plane is alive.
     """
@@ -75,29 +64,35 @@ def _propagations(field, zs, own):
     for i in range(len(amps)):  # each map's spectrum takes its place
         amps[i] = np.fft.fft(amps[i], axis=1, out=amps[i] if own else None)
         np.fft.fft(amps[i], axis=0, out=amps[i])
-    kz, evanescent = _kz(grid)
     for i, z in enumerate(zs):
-        yield make(grid, *(_advance(spec, kz, evanescent, z, i == len(zs) - 1)
+        yield make(grid, *(_advance(spec, grid, z, i == len(zs) - 1)
                            for spec in amps))
 
 
-def _advance(spec, kz, evanescent, z, in_place):
+def _advance(spec, grid, z, in_place):
     """Inverse FFT of a spectrum times the transfer function, which is
     exp(i z k_z) on the propagating frequencies and 0 on the evanescent
-    ones, into the spectrum if `in_place`.  The transfer function is on the
-    block of `_kz`, and each quarter of the spectrum is multiplied by a view
-    of it: rows and columns past n/2 read the block at n - k."""
-    h = 1j * z * kz
-    np.exp(h, out=h)
-    h[evanescent] = 0.0
-    half = len(h) - 1
-    parts = ((slice(None, half + 1), slice(None)),
-             (slice(half + 1, None), slice(half - 1, 0, -1)))
+    ones, into the spectrum if `in_place`.  Index a and index n - a square
+    to the same kx^2, so the transfer function is made on blocks of the
+    quadrant rows a = 0...n/2, each row [h, h[half-1:0:-1]] multiplying
+    spectrum rows a and n - a."""
+    n, half = grid.n, grid.n // 2
+    kx = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.pitch)[:half + 1]
+    step = max(1, beams._BLOCK // n)
     prod = spec if in_place else np.empty_like(spec)
-    for rows, hrows in parts:
-        for cols, hcols in parts:
-            np.multiply(spec[rows, cols], h[hrows, hcols],
-                        out=prod[rows, cols])
+    h = np.empty((step, n), complex)
+    for r in range(0, half + 1, step):
+        e = min(r + step, half + 1)
+        hb, q = h[:e - r], h[:e - r, :half + 1]
+        kz2 = grid.k ** 2 - (kx[None, :] ** 2 + kx[r:e, None] ** 2)
+        np.multiply(1j * z, np.sqrt(np.maximum(kz2, 0.0)), out=q)
+        np.exp(q, out=q)
+        q[kz2 <= 0.0] = 0.0
+        hb[:, half + 1:] = q[:, half - 1:0:-1]
+        np.multiply(spec[r:e], hb, out=prod[r:e])
+        lo, hi = max(r, 1), min(e, half)  # rows a whose n - a is another
+        mirror = slice(n - lo, n - hi, -1)
+        np.multiply(spec[mirror], hb[lo - r:hi - r], out=prod[mirror])
     np.fft.ifft(prod, axis=1, out=prod)
     np.fft.ifft(prod, axis=0, out=prod)
     _check_edges(prod, "output")
@@ -139,7 +134,7 @@ def far_field(field):
         f *= post
         f *= ramp[:, None]
         out.append(f)
-    return type(field)(Grid(n, theta_pitch, grid.wavelength), *out)
+    return type(field)(beams.Grid(n, theta_pitch, grid.wavelength), *out)
 
 
 def stability_record(z, out):

@@ -99,9 +99,11 @@ def build_beam(cfg):
 
 
 def build_vector_beam(cfg):
-    """The configured beam, uniformly polarized."""
-    return beams.vector_field(build_beam(cfg),
-                              jones_state(cfg["polarization"]["kind"]))
+    """The configured beam, polarized in place once it is let go of."""
+    pol, beam = jones_state(cfg["polarization"]["kind"]), build_beam(cfg)
+    grid, ex = beam.grid, beam.amp.astype(complex, copy=False)
+    del beam
+    return beams._polarized(grid, ex, pol)
 
 
 def oam_tolerance(grid):
@@ -149,11 +151,13 @@ def rotating_qplate_overlap_series(spec, f, omega, times):
     output's R part and -2 omega t to its L part; the winding has unit
     modulus and <R|L> = 0, so the amplitude is exactly
     P_R e^{2i omega t} + P_L e^{-2i omega t}, with the output's powers
-    P_R, P_L = power (1 -+ SAM) / 2.
+    P_R, P_L = power (1 -+ SAM) / 2, read by blocks as the output is made.
     """
-    ledger = analysis.am_ledger(elements.apply_qplate(spec, f))
-    p_r = ledger.power * (1.0 - ledger.sam) / 2.0
-    p_l = ledger.power * (1.0 + ledger.sam) / 2.0
+    ys, plate = elements.qplate_formula(spec, f.grid)
+    power, sam = analysis.power_sam(beams._blocks(plate, f.ex, f.ey, ys),
+                                    f.grid.pitch)
+    p_r = power * (1.0 - sam) / 2.0
+    p_l = power * (1.0 + sam) / 2.0
     return p_r * np.exp(2j * omega * times) + p_l * np.exp(-2j * omega * times)
 
 
@@ -163,8 +167,8 @@ def rotating_qplate_overlap_series(spec, f, omega, times):
 def _scenario_qplate_conversion(cfg, outdir, rng):
     # The q-plate output overwrites the input field by blocks of rows, each
     # read before and after and given its winding from its own rows; for the
-    # images, each block's phase levels are taken, then its Stokes maps
-    # overwrite it.  Beside the field, only the images' levels are whole.
+    # images, each block's phase levels are written, then its Stokes maps
+    # overwrite it.  Beside the field, no map is whole.
     field = build_vector_beam(cfg)
     grid, spec = field.grid, build_qplate(cfg)
     ledger_in = analysis.am_ledger(field)
@@ -212,13 +216,13 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
             levels = phase_levels(np.angle(project(ex, ey)))
             s = stokes_of(JonesVector(ex, ey))
             ex.real, ex.imag, ey.real, ey.imag = s.s0, s.s1, s.s2, s.s3
-            return (levels,)
+            return levels
 
-        phase, = beams._by_rows(stokes_in_place, field.ex, field.ey)
+        write_phase_pgm(outdir / "phase_converted.pgm", field.ex, field.ey,
+                        levels=stokes_in_place)
         s = StokesVector(field.ex.real, field.ex.imag, field.ey.real,
                          field.ey.imag)
         write_intensity_pgm(outdir / "intensity_out.pgm", s.s0)
-        write_phase_pgm(outdir / "phase_converted.pgm", phase)
         write_stokes_ppm(outdir / "stokes_out.ppm", s)
     return rows
 

@@ -32,6 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,21 +51,24 @@ from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       rotating_waveplate_series, solid_angle, stokes_of,
                       vector_field)
 from lightsim.analysis import (CROP_MARGIN, _pixel_sums, _sample_circle,
-                               topological_charge)
-from lightsim.beams import (_by_rows, _genlaguerre, _mirrored, _unfold,
+                               _spline_prefilter, _spline_taps,
+                               loop_crop, power_sam, topological_charge)
+from lightsim.beams import (_blocks, _genlaguerre, _mirrored, _unfold,
                             _vortex, circular_component, max_abs,
                             overlap_imag, sum_abs2)
-from lightsim.config import validate
-from lightsim.elements import apply_qplate
+from lightsim.config import ScenarioConfig, validate
+from lightsim.elements import apply_qplate, qplate_formula
 from lightsim.errors import LightsimError
 from lightsim.geomphase import _fan_apex
 from lightsim.imageio import (phase_levels, write_intensity_pgm,
                               write_phase_pgm, write_stokes_ppm)
 from lightsim.polarization import half_wave
+from lightsim.propagation import _advance
 from lightsim.scenarios import (SCENARIOS, SummaryRow,
                                 _scenario_generalized_charge,
                                 _scenario_qplate_conversion, beam_charge,
-                                beam_waist, build_beam, build_scalar_beam)
+                                beam_waist, build_beam, build_scalar_beam,
+                                build_vector_beam)
 
 from helpers import polar
 
@@ -734,7 +738,7 @@ ragged_n = even_n.filter(lambda n: n % 7)
 
 @contextlib.contextmanager
 def ragged_blocks(n):
-    """Blocks of 7 n + 3 pixels, which `_by_rows` rounds down to 7 rows."""
+    """Blocks of 7 n + 3 pixels, which `_blocks` rounds down to 7 rows."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lightsim.beams, "_BLOCK", 7 * n + 3)
         yield
@@ -887,23 +891,35 @@ def test_blocked_stokes_maps_match_whole_grid_bits(n, frac, kind, l, p, pol,
 @given(n=ragged_n, seed=seeds, zeros=st.booleans())
 @example(n=32, seed=0, zeros=True)  # a zero map: its peak scales nothing
 def test_blocked_image_writers_match_whole_map_bytes(n, seed, zeros):
-    """The writers and `phase_levels` quantize by blocks of 7 rows: the
-    bytes of the whole-map formulas, for maps with signed zeros."""
+    """The writers quantize blocks of 7 rows and write each as it is made:
+    the bytes of the whole-map formulas, for maps with signed zeros.  A
+    phase PGM's `levels` may overwrite each block once read, as
+    `qplate_conversion`'s Stokes pass does."""
     f = signed_zero_field(n, seed)
     intensity, phase, s = np.abs(f.ex) ** 2, np.angle(f.ey), stokes_of(f)
     if zeros:
         intensity[...] = 0.0
     pgm, ppm = f"P5\n{n} {n}\n65535\n", f"P6\n{n} {n}\n255\n"
+
+    def levels_then_zero(rows):
+        levels = phase_levels(rows)
+        rows[...] = 0.0
+        return levels
+
     with ragged_blocks(n), tempfile.TemporaryDirectory() as outdir:
-        levels, = _by_rows(lambda rows: (phase_levels(rows),), phase)
+        path = Path(outdir) / "image"
         for write, arg, header, ref in (
                 (write_intensity_pgm, intensity, pgm,
                  intensity_pgm_whole(intensity)),
-                (write_phase_pgm, levels, pgm, phase_pgm_whole(phase)),
+                (partial(write_phase_pgm, levels=phase_levels), phase, pgm,
+                 phase_pgm_whole(phase)),
                 (write_stokes_ppm, s, ppm, stokes_ppm_stacked(s))):
-            path = Path(outdir) / "image"
             write(path, arg)
-            assert pnm_payload(path, header.encode()) == ref, write.__name__
+            assert pnm_payload(path, header.encode()) == ref, str(write)
+        ref = phase_pgm_whole(phase)
+        write_phase_pgm(path, phase, levels=levels_then_zero)
+        assert pnm_payload(path, pgm.encode()) == ref
+        assert not phase.any()
 
 
 @settings(max_examples=10, deadline=None)
@@ -1090,3 +1106,137 @@ def test_generalized_charge_on_crop_matches_whole_grid_bits(sections):
     assert len(got[0]) == len(ref[0])
     assert all(same_bits(a, b) for a, b in zip(got[0], ref[0]))
     assert got[1:] == ref[1:]
+
+
+# --- nothing whole beside the field ---
+
+def advance_whole_quadrant(spec, grid, z):
+    """Inverse FFT of the spectrum times the transfer function built on the
+    whole (n/2 + 1)^2 quadrant, each quarter of the spectrum multiplied by
+    a mirrored view of it."""
+    fx = np.fft.fftfreq(grid.n, d=grid.pitch)[:grid.n // 2 + 1]
+    kx = 2.0 * math.pi * fx
+    kz2 = grid.k ** 2 - (kx[None, :] ** 2 + kx[:, None] ** 2)
+    h = 1j * z * np.sqrt(np.maximum(kz2, 0.0))
+    np.exp(h, out=h)
+    h[kz2 <= 0.0] = 0.0
+    half = len(h) - 1
+    parts = ((slice(None, half + 1), slice(None)),
+             (slice(half + 1, None), slice(half - 1, 0, -1)))
+    prod = np.empty_like(spec)
+    for rows, hrows in parts:
+        for cols, hcols in parts:
+            np.multiply(spec[rows, cols], h[hrows, hcols],
+                        out=prod[rows, cols])
+    np.fft.ifft(prod, axis=1, out=prod)
+    np.fft.ifft(prod, axis=0, out=prod)
+    return prod
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=even_n.filter(lambda n: (n // 2 + 1) % 7), seed=seeds,
+       pitch=st.sampled_from([2.0, 0.4]), z=st.floats(0.0, 1e3),
+       in_place=st.booleans())
+@example(n=64, seed=0, pitch=0.4, z=1.25, in_place=False)
+@example(n=2048, seed=1, pitch=0.4, z=7.5, in_place=True)
+def test_blocked_transfer_function_matches_whole_quadrant_bits(
+        n, seed, pitch, z, in_place):
+    """`_advance` makes the transfer function on blocks of 7 quadrant rows,
+    the last one partial, each row mirrored to full width and multiplied
+    into spectrum rows a and n - a: the bits of the whole-quadrant
+    formula, on a spectrum with no symmetry.  At a pitch of 0.4 wavelengths
+    half the FFT grid is evanescent."""
+    g = Grid(n, pitch, 1.0)
+    spec = random_vector_field(n, seed).ex
+    ref = advance_whole_quadrant(spec, g, z)
+    given_spec = spec.copy()
+    with ragged_blocks(n), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lightsim.propagation, "_check_edges", lambda *a: None)
+        got = _advance(spec, g, z, in_place)
+    assert same_bits(got, ref)
+    assert (got is spec) == in_place
+    if not in_place:
+        assert same_bits(spec, given_spec)
+
+
+BEAM_KINDS = {
+    "gaussian": {"kind": "gaussian", "w0": 1e-3},
+    "elliptical": {"kind": "elliptical", "wx": 1e-3, "wy": 6e-4,
+                   "tilt": 0.3},
+    "lg": {"kind": "lg", "l": 2, "p": 1, "w0": 1e-3},
+    "vortex": {"kind": "vortex", "l": -3, "w0": 1e-3},
+}
+
+
+@pytest.mark.parametrize("n", [64, 254])
+@pytest.mark.parametrize("pol", ["H", "D", "L", "R"])
+@pytest.mark.parametrize("beam", sorted(BEAM_KINDS))
+def test_vector_build_matches_polarization_products_bits(beam, pol, n):
+    """`build_vector_beam` polarizes the beam's amplitude in place and
+    `vector_field` a copy of it: both give the bits of pol.ex * amp and
+    pol.ey * amp, and `vector_field` leaves the caller's map as it was.
+    The schema takes L and R; H and D are set after it."""
+    cfg = validate("qplate_conversion", {
+        "grid": {"n": n, "window": 8e-3, "wavelength": 632.8e-9},
+        "beam": BEAM_KINDS[beam], "polarization": {"kind": "L"},
+        "element": {"q": 1.0}}, QC_SCHEMAS)
+    cfg = ScenarioConfig(cfg.name, {**cfg.sections,
+                                    "polarization": {"kind": pol}})
+    s, state = build_beam(cfg), jones_state(pol).normalized()
+    amp = s.amp.copy()
+    ref = (state.ex * amp, state.ey * amp)
+    for f in (build_vector_beam(cfg), vector_field(s, jones_state(pol))):
+        assert same_bits(f.ex, ref[0]) and same_bits(f.ey, ref[1])
+    assert same_bits(s.amp, amp)
+
+
+def sample_circle_transposed_copy(s, radius, samples):
+    """`_sample_circle` with the prefiltered crop transposed into a copy."""
+    crop = loop_crop(s, radius)
+    a, g = crop.amp, crop.grid
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    coef = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+    _spline_prefilter(coef.view(float))
+    coef = np.ascontiguousarray(coef.T)
+    _spline_prefilter(coef.view(float))
+    coords = radius / g.pitch * np.vstack([np.sin(theta), np.cos(theta)])
+    (rows, cols), (wr, wc) = _spline_taps(coords + (g.n / 2 - 0.5), len(coef))
+    taps = coef[cols[:, None, :], rows[:, :, None]]
+    return np.einsum("sa,sab,sb->s", wr, taps, wc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(16, 200).map(lambda k: 2 * k), seed=seeds,
+       frac=st.floats(0.02, 1.0 - 1e-9), cplx=st.booleans())
+@example(n=2048, seed=0, frac=0.25, cplx=True)
+def test_sample_circle_matches_transposed_copy_bits(n, seed, frac, cplx):
+    """The crop's coefficients, transposed in place by 64 x 64 tiles (crops
+    of up to 560 pixels: one tile, or several with the last partial), give
+    the samples of the transposed copy bit for bit."""
+    g = make_grid(n)
+    f = random_vector_field(n, seed)
+    s = ScalarField(g, f.ex if cplx else f.ex.real.copy())
+    radius = frac * (g.window / 2.0 - g.pitch)
+    assert same_bits(_sample_circle(s, radius, 720),
+                     sample_circle_transposed_copy(s, radius, 720))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=ragged_n, seed=seeds, two_q=st.integers(-8, 8),
+       alpha0=st.sampled_from([0.0, 0.37]))
+@example(n=256, seed=0, two_q=2, alpha0=0.0)
+@example(n=512, seed=1, two_q=-1, alpha0=0.37)
+def test_blocked_power_and_sam_match_ledger_of_plate_output(n, seed, two_q,
+                                                            alpha0):
+    """`power_sam` reads the q-plate output as `_blocks` makes it, in the
+    blocks of `_pixel_sums`: the power and SAM of `am_ledger` of the whole
+    output, bit for bit (blocks of 7 rows, ending mid-grid, below n = 256;
+    the default blocks from n = 256)."""
+    f, spec = random_vector_field(n, seed), QPlateSpec(two_q / 2.0, alpha0)
+    with contextlib.ExitStack() as stack:
+        if n < 256:
+            stack.enter_context(ragged_blocks(n))
+        ledger = am_ledger(apply_qplate(spec, f))
+        ys, plate = qplate_formula(spec, f.grid)
+        got = power_sam(_blocks(plate, f.ex, f.ey, ys), f.grid.pitch)
+    assert got == (ledger.power, ledger.sam)
