@@ -46,7 +46,7 @@ read from.
 - `lg_oam` measures 1.25: one LG mode at a time, let go of before the
   next is built, and its ledger pass.  It was 2.26 when the previous mode
   was still held while the next was built.
-- `rotating_qplate` measures 2.42 (2.03 at n = 2048): the input field, and
+- `rotating_qplate` measures 2.42 (2.02 at n = 2048): the input field, and
   the power and SAM of the plate's output read by blocks of rows as each
   block is made, so the output is never whole.  It was 4.42 with the whole
   output beside the field, 5.42 with the plate's winding map beside them
