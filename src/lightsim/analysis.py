@@ -41,12 +41,6 @@ class AmLedger:
 _D1 = np.array([45.0, -9.0, 1.0]) / 60.0
 
 
-def _power_spin(blocks):
-    """sum |a|^2 and Im<ex|ey> (0 if scalar) of one block per component."""
-    return (sum(beams.sum_abs2(b) for b in blocks),
-            sum(beams.overlap_imag(a, b) for a, b in zip(blocks, blocks[1:])))
-
-
 def _pixel_sums(field):
     """Per row sum_j |a|^2 and sum_j |a|^2 x_j, per column sum_i |a|^2, and
     sum |a|^2, sum Im(a* (x d_y - y d_x) a) and Im<ex|ey> (0 for a scalar
@@ -54,8 +48,8 @@ def _pixel_sums(field):
     `beams._BLOCK` pixels, each copied with the 3 rows above it.  As D is
     antisymmetric, sum Im(a* D a) = 2 sum_k c_k sum_i (u_i v_{i+k} -
     u_{i+k} v_i) on a grid line; a block takes the pairs whose row i + k
-    it holds.  Power and Im<ex|ey> are summed alike, per block by
-    `_power_spin`: SAM(L) = 1 exactly."""
+    it holds.  Power and Im<ex|ey> are summed alike, per block over the
+    components: SAM(L) = 1 exactly."""
     g, comps, x = field.grid, field.components, field.grid.axis()
     n, step = g.n, max(1, beams._BLOCK // g.n)
     rows, cols, row_x, *lags = np.zeros((9, n))  # 3 lags along y, 3 along x
@@ -64,8 +58,9 @@ def _pixel_sums(field):
         e, lo = min(r + step, n), max(r - 3, 0)
         m, o = e - lo, r - lo
         (u, v), (ub, vb) = buf[:, :m], buf[:, o:m]
-        power, overlap = _power_spin([a[r:e] for a in comps])
-        total, spin = total + power, spin + overlap
+        block = [a[r:e] for a in comps]
+        total += sum(beams.sum_abs2(b) for b in block)
+        spin += sum(beams.overlap_imag(a, b) for a, b in zip(block, block[1:]))
         for a in comps:
             np.copyto(u, a[lo:e].real)
             np.copyto(v, a[lo:e].imag)
@@ -260,16 +255,6 @@ def photon_partition(nu):
 def classical_ke(l_am, omega, p, v):
     """Kinetic energy split of a classical particle: (L w / 2, p v / 2)."""
     return l_am * omega / 2.0, p * v / 2.0
-
-
-def power_sam(blocks, pitch):
-    """`am_ledger`'s power and SAM, bit for bit, from `_pixel_sums` blocks."""
-    total = spin = 0.0
-    for power, overlap in map(_power_spin, blocks):
-        total, spin = total + power, spin + overlap
-    if total <= 0.0:
-        raise ZeroField("angular momentum undefined for a zero-power field")
-    return total * pitch ** 2, 2.0 * spin / total
 
 
 def am_ledger(f):

@@ -118,12 +118,19 @@ def oam_tolerance(grid):
 # ---------------------------------------------------------------------------
 # time-series measurement
 
+def _finite(omega, values, *more):
+    """`values`; ConfigError if it or one of `more` is not finite."""
+    if not all(np.isfinite(v).all() for v in (values, *more)):
+        raise ConfigError(f"[rotation] omega = {omega!r} overflows the "
+                          "sample times, their frequencies or 2 omega")
+    return values
+
+
 def _rotation_times(omega, periods, samples):
-    if omega == 0.0:
-        duration = 1.0
-    else:
-        duration = periods * 2.0 * math.pi / abs(omega)
-    return np.arange(samples) * duration / samples
+    duration = 1.0 if omega == 0.0 else periods * 2.0 * math.pi / abs(omega)
+    with np.errstate(all="ignore"):
+        times = np.arange(samples) * duration / samples
+    return _finite(omega, times, 2.0 * omega)
 
 
 def _frequency_shift_row(cfg, vals, times, hand="L"):
@@ -131,7 +138,9 @@ def _frequency_shift_row(cfg, vals, times, hand="L"):
     one bin of 2 omega for an L input (it leaves as R), -2 omega for R."""
     omega, periods = cfg["rotation"]["omega"], cfg["rotation"]["periods"]
     bin_width = 0.0 if omega == 0.0 else abs(omega) / periods
-    freqs = 2.0 * math.pi * np.fft.fftfreq(len(vals), d=times[1] - times[0])
+    with np.errstate(all="ignore"):
+        freqs = _finite(omega, 2.0 * math.pi * np.fft.fftfreq(
+            len(vals), d=times[1] - times[0]))
     peak = float(freqs[int(np.argmax(np.abs(np.fft.fft(vals))))])
     # 0.0 - : an R row at omega = 0 expects 0.0, not -0.0
     expected = 2.0 * omega if hand == "L" else 0.0 - 2.0 * omega
@@ -144,20 +153,17 @@ def _hwp_pair_output(omega, times):
     return JonesVector(*half_wave(1.0, spun.ex, spun.ey))
 
 
-def rotating_qplate_overlap_series(spec, f, omega, times):
+def rotating_qplate_overlap_series(ledger, omega, times):
     """Amplitude <out(0)|out(t)> for a q-plate spinning at omega.
 
     Turning the plate by omega t adds the geometric phase +2 omega t to the
     output's R part and -2 omega t to its L part; the winding has unit
     modulus and <R|L> = 0, so the amplitude is exactly
-    P_R e^{2i omega t} + P_L e^{-2i omega t}, with the output's powers
-    P_R, P_L = power (1 -+ SAM) / 2, read by blocks as the output is made.
+    P_R e^{2i omega t} + P_L e^{-2i omega t}, with P_R, P_L = power (1 -+
+    SAM) / 2 from the `ledger` of the output at t = 0.
     """
-    ys, plate = elements.qplate_formula(spec, f.grid)
-    power, sam = analysis.power_sam(beams._blocks(plate, f.ex, f.ey, ys),
-                                    f.grid.pitch)
-    p_r = power * (1.0 - sam) / 2.0
-    p_l = power * (1.0 + sam) / 2.0
+    p_r = ledger.power * (1.0 - ledger.sam) / 2.0
+    p_l = ledger.power * (1.0 + ledger.sam) / 2.0
     return p_r * np.exp(2j * omega * times) + p_l * np.exp(-2j * omega * times)
 
 
@@ -168,34 +174,34 @@ def _scenario_qplate_conversion(cfg, outdir, rng):
     # The q-plate output overwrites the input field by blocks of rows, each
     # read before and after and given its winding from its own rows; for the
     # images, each block's phase levels are written, then its Stokes maps
-    # overwrite it.  Beside the field, no map is whole.
+    # overwrite it.  Beside the field, no map is whole.  The plate is
+    # unitary and the projection onto a unit state: the Stokes mask and the
+    # loop check read the input's peak |psi|, as in generalized_charge.
     field = build_vector_beam(cfg)
     grid, spec = field.grid, build_qplate(cfg)
     ledger_in = analysis.am_ledger(field)
     s3_sign = 1.0 if ledger_in.sam >= 0.0 else -1.0
     charge_expected = beam_charge(cfg["beam"]) + 2.0 * spec.q * s3_sign
-    threshold = 1e-9 * float(np.max(*beams._by_rows(lambda ex, ey: (
-        stokes_of(JonesVector(ex, ey)).s0.max(axis=1),), field.ex, field.ey)))
+    peak = math.hypot(beams.max_abs(field.ex), beams.max_abs(field.ey))
     hand = "R" if s3_sign > 0 else "L"
     project = beams.circular_projection(hand)
     ys, plate = elements.qplate_formula(spec, grid)
 
     def convert(ex, ey, y):
         s = stokes_of(JonesVector(ex, ey))
-        mask = s.s0 > threshold
+        mask = s.s0 > 1e-9 * peak ** 2
         ratio_in = s.s3[mask] / s.s0[mask]
         ex[...], ey[...] = plate(ex, ey, y)
         s = stokes_of(JonesVector(ex, ey))
         dev = np.zeros(mask.shape)
         dev[mask] = np.abs(s.s3[mask] / s.s0[mask] + ratio_in)
-        return dev.max(axis=1), np.abs(project(ex, ey)).max(axis=1)
+        return (dev.max(axis=1),)
 
-    flip_dev, psi_peak = (float(np.max(a)) for a in beams._by_rows(
-        convert, field.ex, field.ey, ys))
+    flip_dev = float(np.max(*beams._by_rows(convert, field.ex, field.ey, ys)))
     ledger_out = analysis.am_ledger(field)
     loop_radius = beam_waist(cfg["beam"])
     charge = analysis.topological_charge(beams.circular_component(
-        analysis.loop_crop(field, loop_radius), hand), loop_radius, psi_peak)
+        analysis.loop_crop(field, loop_radius), hand), loop_radius, peak)
 
     tol = oam_tolerance(grid)
     name = cfg.name
@@ -381,8 +387,12 @@ def _scenario_rotating_hwp_pair(cfg, outdir, rng):
 
 def _scenario_rotating_qplate(cfg, outdir, rng):
     omega, times = cfg["rotation"]["omega"], _rotation_times(**cfg["rotation"])
-    vals = rotating_qplate_overlap_series(build_qplate(cfg),
-                                          build_vector_beam(cfg), omega, times)
+    field = build_vector_beam(cfg)  # overwritten by the plate's output
+    ys, plate = elements.qplate_formula(build_qplate(cfg), field.grid)
+    for ex, ey, y in beams._blocks(lambda *b: b, field.ex, field.ey, ys):
+        ex[...], ey[...] = plate(ex, ey, y)
+    vals = rotating_qplate_overlap_series(analysis.am_ledger(field), omega,
+                                          times)
     return [_frequency_shift_row(cfg, vals, times,
                                  cfg["polarization"]["kind"])]
 

@@ -273,6 +273,32 @@ def test_run_domain_error_exit_2(tmp_path, capsys, text, args):
     assert ("cannot write" in err) == unwritable
 
 
+ROTATING_QPLATE_CONFIG = QPLATE_CONFIG.replace(
+    "qplate_conversion", "rotating_qplate") + "\n[rotation]\nomega = 1\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("config", [HWP_PAIR_CONFIG, ROTATING_QPLATE_CONFIG],
+                         ids=["hwp_pair", "qplate"])
+@pytest.mark.parametrize("rotation, codes", [
+    # at the default periods and samples 1e-303 overflows the sample
+    # times, 1e307 their frequencies and 1e308 2 omega
+    ("omega = 1e-303", (2, 2)), ("omega = 1e307", (2, 2)),
+    ("omega = 1e308", (2, 2)), ("omega = 1e-300", (0, 0)),
+    ("omega = 1e305", (0, 0)),
+    # the pair's restoration check, at 2 periods of 256 samples, overflows
+    ("omega = 5e-306\nperiods = 1\nsamples = 64", (2, 0)),
+])
+def test_rotation_that_overflows_is_a_config_error(tmp_path, capsys, config,
+                                                   rotation, codes):
+    code = codes[config is ROTATING_QPLATE_CONFIG]
+    text = config.replace("omega = 1", rotation)
+    assert main(["run", write(tmp_path, text),
+                 "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert ("config error: [rotation] omega = " in err) == (code == 2)
+
+
 FORK_CONFIG = """\
 [scenario]
 name = interference_fork

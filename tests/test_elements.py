@@ -145,7 +145,7 @@ def test_rotating_qplate_series_matches_direct_overlaps(two_q, alpha0):
                 apply_qplate(QPlateSpec(spec.q, alpha0 + omega * t),
                              f).components))
             for t in times])
-        got = rotating_qplate_overlap_series(spec, f, omega, times)
+        got = rotating_qplate_overlap_series(am_ledger(ref), omega, times)
         assert np.max(np.abs(got - direct)) \
             <= 1e-12 * np.max(np.abs(direct)), kind
 
@@ -165,6 +165,26 @@ def test_rotating_qplate_r_input_shifts_by_minus_two_omega(omega):
     if omega == 0.0:
         assert math.copysign(1.0, row.expected) == 1.0  # 0.0, not -0.0
     assert row.ok, (row.value, row.expected, row.tolerance)
+
+
+@pytest.mark.parametrize("kind", ["L", "R"])
+@pytest.mark.parametrize("l, p, n, message", [
+    # the loop at r = w0 passes within 1e-9 of the input beam's peak from a
+    # zero of LG p=1, l=1
+    (1, 1, 512, "passes within 1e-9 of a field zero"),
+    # the loop at r = w0 lies on the radial node of LG p=2, l=2
+    (2, 2, 128, "rad in phase between samples, above pi/4"),
+])
+def test_qplate_conversion_loop_check_stops_the_charge_row(l, p, n, message,
+                                                           kind):
+    cfg = ScenarioConfig("qplate_conversion", {
+        "grid": {"n": n, "window": 8e-3, "wavelength": 632.8e-9},
+        "beam": {"kind": "lg", "l": l, "p": p, "w0": 1e-3},
+        "polarization": {"kind": kind}, "element": {"q": 1.0}})
+    logged = []
+    row, = execute(cfg, None, np.random.default_rng(0), logged.append)
+    assert row.quantity == "error[LoopThroughZero]" and not row.ok
+    assert message in logged[0]
 
 
 def test_hwp_pair_restores_input_polarization():

@@ -52,12 +52,12 @@ from lightsim import (Grid, JonesVector, QPlateSpec, ScalarField, SpherePath,
                       vector_field)
 from lightsim.analysis import (CROP_MARGIN, _pixel_sums, _sample_circle,
                                _spline_prefilter, _spline_taps,
-                               loop_crop, power_sam, topological_charge)
-from lightsim.beams import (_blocks, _genlaguerre, _mirrored, _unfold,
-                            _vortex, circular_component, max_abs,
-                            overlap_imag, sum_abs2)
+                               loop_crop, topological_charge)
+from lightsim.beams import (_genlaguerre, _mirrored, _unfold, _vortex,
+                            circular_component, max_abs, overlap_imag,
+                            sum_abs2)
 from lightsim.config import ScenarioConfig, validate
-from lightsim.elements import apply_qplate, qplate_formula
+from lightsim.elements import apply_qplate
 from lightsim.errors import LightsimError
 from lightsim.geomphase import _fan_apex
 from lightsim.imageio import (phase_levels, write_intensity_pgm,
@@ -68,7 +68,7 @@ from lightsim.scenarios import (SCENARIOS, SummaryRow,
                                 _scenario_generalized_charge,
                                 _scenario_qplate_conversion, beam_charge,
                                 beam_waist, build_beam, build_scalar_beam,
-                                build_vector_beam)
+                                build_vector_beam, execute)
 
 from helpers import polar
 
@@ -1226,17 +1226,28 @@ def test_sample_circle_matches_transposed_copy_bits(n, seed, frac, cplx):
        alpha0=st.sampled_from([0.0, 0.37]))
 @example(n=256, seed=0, two_q=2, alpha0=0.0)
 @example(n=512, seed=1, two_q=-1, alpha0=0.37)
-def test_blocked_power_and_sam_match_ledger_of_plate_output(n, seed, two_q,
-                                                            alpha0):
-    """`power_sam` reads the q-plate output as `_blocks` makes it, in the
-    blocks of `_pixel_sums`: the power and SAM of `am_ledger` of the whole
-    output, bit for bit (blocks of 7 rows, ending mid-grid, below n = 256;
+def test_rotating_runner_overwrites_its_beam_with_plate_output_bits(
+        n, seed, two_q, alpha0):
+    """The rotating q-plate runner overwrites its beam with the plate's
+    output by `_blocks` of rows, and its ledger reads that field: the bits
+    of `apply_qplate` (blocks of 7 rows, ending mid-grid, below n = 256;
     the default blocks from n = 256)."""
-    f, spec = random_vector_field(n, seed), QPlateSpec(two_q / 2.0, alpha0)
+    f, spec = signed_zero_field(n, seed), QPlateSpec(two_q / 2.0, alpha0)
+    ref = apply_qplate(spec, f)
+    cfg = ScenarioConfig("rotating_qplate", {
+        "grid": {"n": n, "window": 8.0, "wavelength": WAVELENGTH},
+        "beam": {"kind": "gaussian", "w0": 1.0},
+        "polarization": {"kind": "L"},
+        "element": {"q": spec.q, "alpha0": alpha0}, "rotation": {"omega": 1}})
+    read = []
     with contextlib.ExitStack() as stack:
         if n < 256:
             stack.enter_context(ragged_blocks(n))
-        ledger = am_ledger(apply_qplate(spec, f))
-        ys, plate = qplate_formula(spec, f.grid)
-        got = power_sam(_blocks(plate, f.ex, f.ey, ys), f.grid.pitch)
-    assert got == (ledger.power, ledger.sam)
+        mp = stack.enter_context(pytest.MonkeyPatch.context())
+        mp.setattr(lightsim.scenarios, "build_vector_beam", lambda cfg: f)
+        mp.setattr(lightsim.analysis, "am_ledger",
+                   lambda out: read.append(out) or am_ledger(out))
+        execute(cfg, None, None)
+    out, = read
+    assert out.ex is f.ex and out.ey is f.ey
+    assert same_bits(out.ex, ref.ex) and same_bits(out.ey, ref.ey)
